@@ -1,22 +1,21 @@
-"""Experiment batch — batched vectorized execution (Section 2.5).
+"""Experiment batch — batched execution (Section 2.5).
 
-The seed shipped one ``DataPacket`` per binding and joined tables a
-binding at a time.  The vectorized engine evaluates operators over
-column-oriented :class:`~repro.execution.batch.BindingBatch` chunks and
-ships :attr:`batch_size` bindings per packet, so a channel's cost is
-paid per *batch*, not per *binding*.  This experiment sweeps the batch
-size over a union-heavy synthetic workload (~500 answer rows) against
-the scalar binding-at-a-time engine and measures answer equality,
-wall-clock time, simulator messages and shipped data packets.
+The seed shipped one ``DataPacket`` per binding.  The engine evaluates
+operators over column-oriented :class:`~repro.execution.batch.BindingBatch`
+chunks and ships :attr:`batch_size` bindings per packet, so a channel's
+cost is paid per *batch*, not per *binding*.  This experiment sweeps
+the batch size over a union-heavy synthetic workload (~500 answer
+rows), from ``batch_size=1`` — the per-binding wire format — up, plus
+the dictionary-encoded engine with and without the cost-based planner,
+and measures answer equality, wall-clock time, simulator messages and
+shipped data packets.
 
 Invariants asserted by the pytest entry points:
 
-* identical answers at every batch size, vectorized, scalar,
-  dictionary-encoded or cost-based;
-* ``batch_size=256`` beats the scalar engine by ≥ 2x wall-clock;
-* ``batch_size=256`` ships ≥ 10x fewer simulator messages;
-* the dictionary-encoded engine under the cost-based planner beats the
-  scalar engine by ≥ 10x wall-clock.
+* identical answers at every batch size, dictionary-encoded or
+  cost-based;
+* ``batch_size=256`` ships ≥ 10x fewer simulator messages and data
+  packets than ``batch_size=1``.
 
 ``python -m benchmarks.bench_batch_size --quick`` runs a scaled-down
 sweep for the CI bench-smoke job (same table, smaller bases).
@@ -58,7 +57,6 @@ def _bases(statements: int):
 
 
 def run_once(
-    vectorize: bool,
     batch_size: int,
     statements: int = FULL_STATEMENTS,
     **options,
@@ -70,8 +68,7 @@ def run_once(
     """
     bases = _bases(statements)
     system = HybridSystem(
-        SYNTH.schema, seed=SEED, vectorize=vectorize, batch_size=batch_size,
-        **options,
+        SYNTH.schema, seed=SEED, batch_size=batch_size, **options
     )
     system.add_super_peer("SP")
     for peer_id in PEERS:
@@ -94,37 +91,39 @@ def run_once(
     }
 
 
-#: (label, vectorize, batch_size, extra options) sweep — "scalar" is the
-#: seed engine; "encoded+cost" is the dictionary-encoded columnar engine
-#: under the cost-based planner (PR 9's headline configuration)
+#: (label, batch_size, extra options) sweep — "batch-1" is the
+#: per-binding wire format every speedup is relative to; "encoded+cost"
+#: is the dictionary-encoded columnar engine under the cost-based planner
 SWEEP = [
-    ("scalar", False, 256, {}),
-    ("batch-1", True, 1, {}),
-    ("batch-8", True, 8, {}),
-    ("batch-32", True, 32, {}),
-    ("batch-256", True, 256, {}),
-    ("encoded", True, 256, {"encode": True}),
-    ("encoded+cost", True, 256, {"encode": True, "cost_based": True}),
+    ("batch-1", 1, {}),
+    ("batch-8", 8, {}),
+    ("batch-32", 32, {}),
+    ("batch-256", 256, {}),
+    ("encoded", 256, {"encode": True}),
+    ("encoded+cost", 256, {"encode": True, "cost_based": True}),
 ]
 
 
-def sweep(statements: int = FULL_STATEMENTS):
+def sweep(statements: int = FULL_STATEMENTS, repeats: int = 1):
+    """Every engine of :data:`SWEEP`, keeping each one's fastest of
+    ``repeats`` runs (message counts are deterministic, timings not)."""
     results = {}
-    for label, vectorize, batch_size, options in SWEEP:
-        results[label] = run_once(vectorize, batch_size, statements, **options)
+    for label, batch_size, options in SWEEP:
+        runs = [run_once(batch_size, statements, **options) for _ in range(repeats)]
+        results[label] = min(runs, key=lambda r: r["wall"])
     return results
 
 
 def _table_text(results) -> str:
-    scalar = results["scalar"]
+    baseline = results["batch-1"]
     rows = []
-    for label, _, _, _ in SWEEP:
+    for label, _, _ in SWEEP:
         r = results[label]
         rows.append((
             label,
             r["rows"],
             f"{r['wall'] * 1000:.1f}",
-            f"{scalar['wall'] / max(r['wall'], 1e-9):.1f}x",
+            f"{baseline['wall'] / max(r['wall'], 1e-9):.1f}x",
             r["messages"],
             r["data_packets"],
             f"{r['mean_batch']:.1f}",
@@ -144,13 +143,13 @@ def _table_text(results) -> str:
 
 
 def report(statements: int = FULL_STATEMENTS) -> str:
-    results = sweep(statements)
+    results = sweep(statements, repeats=3)
     text = banner(
         "batch",
-        "Section 2.5: batched vectorized plan evaluation",
+        "Section 2.5: batched plan evaluation",
         "shipping bindings in batches over channels pays per-message cost "
-        "per batch instead of per binding; vectorized operators keep the "
-        "answer multiset identical to binding-at-a-time evaluation",
+        "per batch instead of per binding; the answer multiset is identical "
+        "at every batch size",
     ) + _table_text(results)
     return write_report(
         "batch",
@@ -159,85 +158,32 @@ def report(statements: int = FULL_STATEMENTS) -> str:
             "seed": SEED,
             "peers": len(PEERS),
             "statements_per_segment": statements,
-            "batch_sizes": [bs for _, vec, bs, _ in SWEEP if vec],
+            "batch_sizes": [bs for label, bs, _ in SWEEP if label.startswith("batch-")],
         },
-        metrics={
-            **results["batch-256"]["summary"],
-            # speedups over the seed's scalar engine — the CI cost-smoke
-            # job asserts on these from the machine-readable JSON
-            "speedup_batch_256": round(
-                results["scalar"]["wall"]
-                / max(results["batch-256"]["wall"], 1e-9),
-                2,
-            ),
-            "speedup_encoded_cost": round(
-                results["scalar"]["wall"]
-                / max(results["encoded+cost"]["wall"], 1e-9),
-                2,
-            ),
-        },
+        metrics=results["batch-256"]["summary"],
     )
 
 
 # ----------------------------------------------------------------------
 # pytest-benchmark entry points (assert the experiment's invariants)
 # ----------------------------------------------------------------------
-def bench_batched_beats_scalar(benchmark):
-    """The headline numbers: ≥2x wall-clock, ≥10x fewer messages.
-
-    Wall-clock compares the best of three runs per engine — message
-    counts are deterministic, timings are not."""
-    batched = benchmark(lambda: run_once(True, 256))
-    scalar = run_once(False, 256)
-    assert batched["table"] == scalar["table"]
-    batched_wall = min([batched["wall"]] + [run_once(True, 256)["wall"] for _ in range(2)])
-    scalar_wall = min([scalar["wall"]] + [run_once(False, 256)["wall"] for _ in range(2)])
-    assert scalar_wall >= 2.0 * batched_wall
-    assert scalar["messages"] >= 10 * batched["messages"]
-    assert scalar["data_packets"] >= 10 * batched["data_packets"]
+def bench_batched_beats_per_binding(benchmark):
+    """The headline numbers: ≥10x fewer messages and data packets than
+    per-binding shipping, with an identical answer table."""
+    batched = benchmark(lambda: run_once(256))
+    one = run_once(1)
+    assert batched["table"] == one["table"]
+    assert one["messages"] >= 10 * batched["messages"]
+    assert one["data_packets"] >= 10 * batched["data_packets"]
     report()
 
 
 def bench_all_batch_sizes_agree(benchmark):
     """Every engine in the sweep returns the same binding multiset."""
     results = benchmark(lambda: sweep(QUICK_STATEMENTS))
-    reference = results["scalar"]["table"]
-    for label, _, _, _ in SWEEP:
+    reference = results["batch-1"]["table"]
+    for label, _, _ in SWEEP:
         assert results[label]["table"] == reference, label
-
-
-def bench_encoded_cost_beats_scalar_10x(benchmark):
-    """PR 9's headline: the dictionary-encoded columnar engine under
-    the cost-based planner beats the seed's scalar engine by ≥ 10x
-    wall-clock on the full workload, with an identical answer table.
-
-    Wall-clock compares the best of three runs per engine."""
-    encoded = benchmark(lambda: run_once(True, 256, encode=True, cost_based=True))
-    scalar = run_once(False, 256)
-    assert encoded["table"] == scalar["table"]
-    encoded_wall = min(
-        [encoded["wall"]]
-        + [
-            run_once(True, 256, encode=True, cost_based=True)["wall"]
-            for _ in range(2)
-        ]
-    )
-    scalar_wall = min(
-        [scalar["wall"]] + [run_once(False, 256)["wall"] for _ in range(2)]
-    )
-    assert scalar_wall >= 10.0 * encoded_wall, (
-        f"speedup only {scalar_wall / encoded_wall:.1f}x "
-        f"(scalar {scalar_wall * 1000:.1f}ms, encoded+cost "
-        f"{encoded_wall * 1000:.1f}ms)"
-    )
-
-
-def bench_batch_size_one_matches_scalar_messages(benchmark):
-    """batch_size=1 is the seed's per-binding shipping, vectorized."""
-    one = benchmark(lambda: run_once(True, 1, QUICK_STATEMENTS))
-    scalar = run_once(False, 256, QUICK_STATEMENTS)
-    assert one["messages"] == scalar["messages"]
-    assert one["table"] == scalar["table"]
 
 
 # ----------------------------------------------------------------------

@@ -103,18 +103,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "(cold per-query routing, as in the paper)",
     )
     query.add_argument(
-        "--no-vectorize",
-        action="store_true",
-        help="disable batched vectorized execution: scalar operators "
-        "and one data packet per binding (the reference path)",
-    )
-    query.add_argument(
         "--batch-size",
         type=int,
         default=256,
         metavar="N",
-        help="bindings per shipped data packet when vectorizing "
-        "(default 256)",
+        help="bindings per shipped data packet (default 256; 1 ships "
+        "one binding per packet)",
     )
     query.add_argument(
         "--cost-based",
@@ -453,17 +447,17 @@ def _cmd_figures() -> int:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     schema = load_schema(args.schema, args.namespace)
-    if args.batch_size < 1:
-        print("error: --batch-size must be >= 1", file=sys.stderr)
+    try:
+        system = HybridSystem(
+            schema,
+            cache_enabled=not args.no_cache,
+            batch_size=args.batch_size,
+            cost_based=args.cost_based,
+            encode=args.encode,
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
-    system = HybridSystem(
-        schema,
-        cache_enabled=not args.no_cache,
-        vectorize=not args.no_vectorize,
-        batch_size=args.batch_size,
-        cost_based=args.cost_based,
-        encode=args.encode,
-    )
     system.add_super_peer("SP")
     names = []
     for spec in args.peer:

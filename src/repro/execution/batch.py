@@ -1,17 +1,17 @@
-"""Column-oriented binding batches: the vectorized operator kernel.
+"""Column-oriented binding batches: the execution engine's kernel.
 
 A :class:`BindingBatch` holds the same bag of variable bindings as a
 :class:`~repro.rql.bindings.BindingTable`, but column-major: a schema
 header (ordered variable names) plus one value list per column.  The
-vectorized execution engine materialises operator inputs as batches and
-runs joins, unions, filters and projections column-wise — no per-row
+execution engine materialises operator inputs as batches and runs
+joins, unions, filters and projections column-wise — no per-row
 ``dict`` is ever built on the hot path, which is where the
 binding-at-a-time evaluator spends most of its cycles.
 
 The two representations convert losslessly (:meth:`from_table` /
-:meth:`to_table`), row order included, so vectorized and scalar
-evaluation are differential-testable against each other
-(``tests/difftest``).
+:meth:`to_table`), row order included, so every batch operator is
+property-tested against its :class:`BindingTable` counterpart, the
+reference semantics (``tests/property``).
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class BindingBatch:
         return cls((), length=1)
 
     # ------------------------------------------------------------------
-    # vectorized relational operators
+    # column-wise relational operators
     # ------------------------------------------------------------------
     def hash_join(self, other: "BindingBatch") -> "BindingBatch":
         """Natural hash join (build on the smaller side, probe with the
@@ -104,7 +104,7 @@ class BindingBatch:
         other_only = [c for c in other.columns if c not in self.columns]
         out_columns = self.columns + tuple(other_only)
         if not shared:
-            # cartesian product, self-major (matches the scalar path)
+            # cartesian product, self-major (matches BindingTable.join)
             self_idx = [i for i in range(self.length) for _ in range(other.length)]
             other_idx = list(range(other.length)) * self.length
             return self._gather(other, other_only, out_columns, self_idx, other_idx)

@@ -283,7 +283,7 @@ def evaluate_scan_encoded(
 
     Per-pattern id columns come straight from the cache (shared, not
     copied — see the module invariant); the join cascade runs the
-    vectorized hash-join over ints.  With ``decode`` on, terms
+    columnar hash-join over ints.  With ``decode`` on, terms
     materialise once at the end; with it off the table keeps its
     dictionary-id cells (an *id table*) so the coordinator's whole
     join/union pipeline stays in int space and terms materialise only

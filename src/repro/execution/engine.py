@@ -30,6 +30,7 @@ from ..net.simulator import Network
 from ..obs.tracer import NULL_SPAN
 from ..rql.bindings import BindingTable
 from .batch import concat_tables
+# join_all, union_all: unused here; perfbench/layers.py wraps them by this path
 from .operators import (
     join_all,
     union_all,
@@ -104,10 +105,6 @@ class PlanExecutor:
         self.pipelined = pipelined
         self.retry = retry
         self.trace = trace
-        #: vectorized (batched, column-wise) operator evaluation; the
-        #: hosting peer's ``--no-vectorize`` escape hatch flips this
-        #: back to the seed's binding-at-a-time path
-        self.vectorize = bool(getattr(host, "vectorize", True))
         #: dictionary-encoded pipeline: intermediates are id tables and
         #: the final answer is a distinct projection, so combines can
         #: de-duplicate eagerly (never on the seed-identical default)
@@ -158,11 +155,7 @@ class PlanExecutor:
         if self.pipelined:
             self._start_pipelined()
         else:
-            needed = (
-                self.keep_variables
-                if self.vectorize and self.encoded and self.keep_variables is not None
-                else None
-            )
+            needed = self.keep_variables if self.encoded else None
             self._execute(self.plan, (), self._finish_ok, needed)
 
     def _start_pipelined(self) -> None:
@@ -297,15 +290,13 @@ class PlanExecutor:
                 self._ship(node, path, node.peer_id, k)
             return
         children = node.children()
-        if self.vectorize and self.encoded:
+        if self.encoded:
             if isinstance(node, Union):
                 combine = lambda tables: vunion_all_distinct(tables, needed)
             else:
                 combine = lambda tables: vjoin_all_distinct(tables, needed)
-        elif self.vectorize:
-            combine = vunion_all if isinstance(node, Union) else vjoin_all
         else:
-            combine = union_all if isinstance(node, Union) else join_all
+            combine = vunion_all if isinstance(node, Union) else vjoin_all
         gather = _Gather(len(children), combine, k)
         child_vars = [set(child.variables()) for child in children]
         for index, child in enumerate(children):

@@ -6,11 +6,8 @@ join at the peer — the behaviour Transformation Rules 1/2 rely on.
 Executing the *original* (unrewritten) pattern at a peer is sound:
 class filters are enforced during evaluation, so a peer advertising a
 broader class only contributes bindings that satisfy the query's
-classes.
-
-With ``vectorize`` on (the default) the per-pattern tables are joined
-through the columnar build/probe hash-join; off reproduces the seed's
-binding-at-a-time join exactly.
+classes.  The per-pattern tables are joined through the columnar
+build/probe hash-join.
 """
 
 from __future__ import annotations
@@ -22,6 +19,7 @@ from ..rdf.schema import Schema
 from ..rql.bindings import BindingTable
 from ..rql.evaluator import evaluate_path_pattern
 from .encoded import EncodedBase, evaluate_scan_encoded
+# join_all: unused here; perfbench/layers.py wraps it by this path
 from .operators import join_all, vjoin_all
 
 
@@ -29,7 +27,6 @@ def evaluate_scan(
     scan: Scan,
     base: Graph,
     schema: Schema,
-    vectorize: bool = True,
     encoded: "EncodedBase" = None,
     decode: bool = True,
 ) -> BindingTable:
@@ -45,4 +42,4 @@ def evaluate_scan(
         return evaluate_scan_encoded(scan, encoded, decode=decode)
     view = InferredView(base, schema)
     tables = [evaluate_path_pattern(pattern, view) for pattern in scan.patterns()]
-    return vjoin_all(tables) if vectorize else join_all(tables)
+    return vjoin_all(tables)

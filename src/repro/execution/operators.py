@@ -1,22 +1,18 @@
 """Relational operators over binding tables.
 
-Thin, well-tested wrappers the execution engine composes: n-ary union
-and join, condition filtering and final projection — each in two
-flavours sharing one semantics:
+The kernels the execution engine composes: n-ary union and join,
+condition filtering and final projection.  Each pivots its operands
+into column-oriented :class:`~repro.execution.batch.BindingBatch`
+values and runs build/probe hash-joins, column-wise concatenation,
+masks and projections without building a single per-row dict:
+``vjoin_all`` / ``vunion_all``, their de-duplicating ``*_distinct``
+twins for the dictionary-encoded pipeline, ``apply_conditions``,
+``finalize`` and ``finalize_encoded``.
 
-* the **scalar** path (``join_all`` / ``union_all`` / ``finalize``
-  with ``vectorize=False``) evaluates binding-at-a-time over per-row
-  dictionaries, exactly as the seed engine did — kept as the
-  ``--no-vectorize`` escape hatch and as the differential-testing
-  reference;
-* the **vectorized** path (``vjoin_all`` / ``vunion_all`` /
-  ``finalize`` with ``vectorize=True``) pivots the operands into
-  column-oriented :class:`~repro.execution.batch.BindingBatch` values
-  and runs build/probe hash-joins, column-wise concatenation, masks and
-  projections without building a single per-row dict.
-
-Both produce identical binding multisets (asserted by
-``tests/difftest`` and the metamorphic property tests).
+``join_all`` / ``union_all`` fold :class:`BindingTable`'s own
+binding-at-a-time operators.  No engine path runs them: they are the
+reference the property tests hold the kernels to, next to the
+centralized evaluator (``tests/difftest``).
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from ..errors import EvaluationError
 from ..rdf.terms import Literal
 from ..rql.ast import Condition
 from ..rql.bindings import BindingTable
-from ..rql.evaluator import _COMPARATORS, _condition_predicate
+from ..rql.evaluator import _COMPARATORS
 from .batch import BindingBatch
 
 
@@ -136,28 +132,35 @@ def vjoin_all_distinct(
     return result.to_table()
 
 
-def _condition_mask(batch: BindingBatch, condition: Condition) -> List[bool]:
+def _comparable(term):
+    """A cell as WHERE conditions compare it: literals by Python value."""
+    return term.to_python() if isinstance(term, Literal) else term
+
+
+def _term_comparables(column: Sequence) -> List[object]:
+    return [_comparable(term) for term in column]
+
+
+def _condition_mask(
+    batch: BindingBatch,
+    condition: Condition,
+    comparables: Callable[[Sequence], List[object]] = _term_comparables,
+) -> List[bool]:
     """Evaluate one WHERE condition column-wise into a row mask.
 
-    Semantics mirror the scalar predicate exactly: literals compare by
+    Semantics mirror the oracle's predicate exactly: literals compare by
     their Python value, incomparable types reject the row.
+    ``comparables`` turns a column into comparable values (default: term
+    cells; the encoded pipeline decodes id cells).
     """
     compare = _COMPARATORS.get(condition.operator)
     if compare is None:
         raise EvaluationError(f"unsupported operator {condition.operator!r}")
-    left = [
-        term.to_python() if isinstance(term, Literal) else term
-        for term in batch.column(condition.variable)
-    ]
+    left = comparables(batch.column(condition.variable))
     if condition.value_is_variable:
-        right: Iterable = [
-            term.to_python() if isinstance(term, Literal) else term
-            for term in batch.column(str(condition.value))
-        ]
+        right: Iterable = comparables(batch.column(str(condition.value)))
     else:
-        value = condition.value
-        constant = value.to_python() if isinstance(value, Literal) else value
-        right = [constant] * len(batch)
+        right = [_comparable(condition.value)] * len(batch)
     mask = []
     for a, b in zip(left, right):
         try:
@@ -174,29 +177,27 @@ def _referenced_columns(condition: Condition) -> set:
     return referenced
 
 
-def apply_conditions(
-    table: BindingTable,
+def _filter(
+    batch: BindingBatch,
     conditions: Iterable[Condition],
-    vectorize: bool = False,
-) -> BindingTable:
+    comparables: Callable[[Sequence], List[object]] = _term_comparables,
+) -> BindingBatch:
     """Apply WHERE-clause filters; conditions referencing columns the
-    table lacks reject nothing (they were pushed elsewhere)."""
-    if vectorize:
-        batch = BindingBatch.from_table(table)
-        columns = set(batch.columns)
-        filtered = False
-        for condition in conditions:
-            if not _referenced_columns(condition).issubset(columns):
-                continue
-            batch = batch.compress(_condition_mask(batch, condition))
-            filtered = True
-        return batch.to_table() if filtered else table
-    result = table
+    batch lacks reject nothing (they were pushed elsewhere)."""
+    columns = set(batch.columns)
     for condition in conditions:
-        if not _referenced_columns(condition).issubset(set(result.columns)):
-            continue
-        result = result.select(_condition_predicate(condition))
-    return result
+        if _referenced_columns(condition).issubset(columns):
+            batch = batch.compress(_condition_mask(batch, condition, comparables))
+    return batch
+
+
+def apply_conditions(
+    table: BindingTable, conditions: Iterable[Condition]
+) -> BindingTable:
+    """Apply WHERE-clause filters column-wise (see :func:`_filter`)."""
+    batch = BindingBatch.from_table(table)
+    filtered = _filter(batch, conditions)
+    return table if filtered is batch else filtered.to_table()
 
 
 def _decoded_comparables(ids: Sequence[int], dictionary) -> List[object]:
@@ -209,37 +210,10 @@ def _decoded_comparables(ids: Sequence[int], dictionary) -> List[object]:
         if tid in cache:
             out.append(cache[tid])
         else:
-            term = dictionary.decode(tid)
-            value = term.to_python() if isinstance(term, Literal) else term
+            value = _comparable(dictionary.decode(tid))
             cache[tid] = value
             out.append(value)
     return out
-
-
-def _encoded_condition_mask(
-    batch: BindingBatch, condition: Condition, dictionary
-) -> List[bool]:
-    """The encoded twin of :func:`_condition_mask`: same comparator
-    semantics, operating on dictionary ids."""
-    compare = _COMPARATORS.get(condition.operator)
-    if compare is None:
-        raise EvaluationError(f"unsupported operator {condition.operator!r}")
-    left = _decoded_comparables(batch.column(condition.variable), dictionary)
-    if condition.value_is_variable:
-        right: Iterable = _decoded_comparables(
-            batch.column(str(condition.value)), dictionary
-        )
-    else:
-        value = condition.value
-        constant = value.to_python() if isinstance(value, Literal) else value
-        right = [constant] * len(batch)
-    mask = []
-    for a, b in zip(left, right):
-        try:
-            mask.append(bool(compare(a, b)))
-        except TypeError:
-            mask.append(False)
-    return mask
 
 
 def finalize_encoded(
@@ -251,13 +225,12 @@ def finalize_encoded(
     """Coordinator post-processing of an *id table*: filter (decoding
     per distinct id), project, de-duplicate on ints, and only then
     materialise the final — already small — table into terms."""
-    batch = BindingBatch.from_table(table)
-    columns = set(batch.columns)
-    for condition in conditions:
-        if not _referenced_columns(condition).issubset(columns):
-            continue
-        batch = batch.compress(_encoded_condition_mask(batch, condition, dictionary))
-    available = [c for c in projections if c in columns]
+    batch = _filter(
+        BindingBatch.from_table(table),
+        conditions,
+        lambda ids: _decoded_comparables(ids, dictionary),
+    )
+    available = [c for c in projections if c in batch.columns]
     batch = batch.project(available).distinct()
     decoded = {
         column: dictionary.decode_many(batch.data[column])
@@ -270,18 +243,8 @@ def finalize(
     table: BindingTable,
     projections: Sequence[str],
     conditions: Iterable[Condition] = (),
-    vectorize: bool = False,
 ) -> BindingTable:
     """Coordinator post-processing: filter, project, de-duplicate."""
-    if vectorize:
-        batch = BindingBatch.from_table(table)
-        columns = set(batch.columns)
-        for condition in conditions:
-            if not _referenced_columns(condition).issubset(columns):
-                continue
-            batch = batch.compress(_condition_mask(batch, condition))
-        available = [c for c in projections if c in columns]
-        return batch.project(available).distinct().to_table()
-    filtered = apply_conditions(table, conditions)
-    available = [c for c in projections if c in filtered.columns]
-    return filtered.project(available).distinct()
+    batch = _filter(BindingBatch.from_table(table), conditions)
+    available = [c for c in projections if c in batch.columns]
+    return batch.project(available).distinct().to_table()

@@ -82,7 +82,6 @@ class PeerBase:
     def evaluate_scan(
         self,
         scan: Scan,
-        vectorize: bool = True,
         encode: bool = False,
         decode: bool = True,
     ) -> BindingTable:
@@ -96,11 +95,10 @@ class PeerBase:
                 scan,
                 self.graph,
                 self.schema,
-                vectorize=vectorize,
                 encoded=self.encoded_base(),
                 decode=decode,
             )
-        return evaluate_scan(scan, self.graph, self.schema, vectorize=vectorize)
+        return evaluate_scan(scan, self.graph, self.schema)
 
 
 class Peer:
@@ -121,17 +119,13 @@ class Peer:
     stream_interval: float = 2.0
     #: completed subplans remembered for retransmit replay (per peer)
     subplan_replay_limit: int = 128
-    #: vectorized execution: evaluate operators column-wise and ship
-    #: results as binding batches; off reproduces the seed's
-    #: binding-at-a-time path with one DataPacket per binding
-    vectorize: bool = True
-    #: maximum bindings per shipped DataPacket when :attr:`vectorize`
-    #: is on (larger results fragment back-to-back, no pacing delay)
+    #: maximum bindings per shipped DataPacket (larger results fragment
+    #: back-to-back, no pacing delay); 1 is the per-binding wire format
     batch_size: int = 256
     #: dictionary-encoded execution: scans run on cached int32 columns
     #: (warmed at join time) and results travel as id columns with the
-    #: channel's dictionary shipped once; off keeps the scalar wire
-    #: format bit-identical to the seed
+    #: channel's dictionary shipped once; off ships term cells, the
+    #: wire format bit-identical to the seed
     encode: bool = False
 
     def __init__(
@@ -272,14 +266,12 @@ class Peer:
         if self.encode and self.base is not None:
             if base is self.base:
                 # stay in the primary dictionary's id space end to end
-                return base.evaluate_scan(
-                    scan, vectorize=self.vectorize, encode=True, decode=False
-                )
+                return base.evaluate_scan(scan, encode=True, decode=False)
             # secondary base (multi-SON): its dictionary differs, so
             # materialise and re-intern into the primary id space
-            table = base.evaluate_scan(scan, vectorize=self.vectorize, encode=True)
+            table = base.evaluate_scan(scan, encode=True)
             return encode_cells(table, self.base.encoded_base().dictionary)
-        return base.evaluate_scan(scan, vectorize=self.vectorize, encode=self.encode)
+        return base.evaluate_scan(scan, encode=self.encode)
 
     def handle_SubPlanPacket(self, message: Message) -> None:
         """Execute a received subplan and stream the result back.
@@ -343,13 +335,9 @@ class Peer:
         """A subplan result as sequence-numbered binding batches.
 
         The granularity is :attr:`stream_chunk_rows` when explicit
-        pipelining is on, else :attr:`batch_size` (vectorized) or one
-        binding per packet (``--no-vectorize``, the seed's conceptual
-        tuple-at-a-time wire format).
+        pipelining is on, else :attr:`batch_size`.
         """
-        chunk = self.stream_chunk_rows
-        if not chunk:
-            chunk = self.batch_size if self.vectorize else 1
+        chunk = self.stream_chunk_rows or self.batch_size
         if self.encode:
             return self._encoded_result_packets(channel_id, table, chunk)
         if len(table) <= chunk:

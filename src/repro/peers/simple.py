@@ -148,7 +148,6 @@ class SimplePeer(Peer):
         failure_policy: str = "discard",
         secondary_bases=(),
         cache_enabled: bool = True,
-        vectorize: bool = True,
         batch_size: int = 256,
         cost_based: bool = False,
         encode: bool = False,
@@ -156,9 +155,6 @@ class SimplePeer(Peer):
         super().__init__(peer_id, base, secondary_bases=secondary_bases)
         if failure_policy not in ("discard", "phased"):
             raise ValueError("failure_policy must be 'discard' or 'phased'")
-        #: vectorized execution + batched shipping (``--no-vectorize``
-        #: turns both off: scalar operators, one DataPacket per binding)
-        self.vectorize = vectorize
         self.batch_size = batch_size
         self.adaptive = adaptive
         self.max_replans = max_replans
@@ -1178,8 +1174,7 @@ class SimplePeer(Peer):
 
         An encoding coordinator's pipeline delivers *id tables* (cells
         are primary-dictionary ids): those finalise on ints and decode
-        only the final small table; everything else takes the seed's
-        scalar/vectorized path unchanged.
+        only the final small table; everything else finalises on terms.
         """
         projections = pending.query.effective_projections()
         conditions = pending.query.conditions
@@ -1190,7 +1185,7 @@ class SimplePeer(Peer):
                 projections,
                 conditions,
             )
-        return finalize(table, projections, conditions, vectorize=self.vectorize)
+        return finalize(table, projections, conditions)
 
     def _reply_error(self, pending: PendingQuery, reason: str) -> None:
         if pending.query_id not in self._pending:

@@ -17,16 +17,12 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.adaptivity import ReplanBudget
 from ..core.annotations import AnnotatedQueryPattern, PeerAnnotation
 from ..core.algebra import PlanNode, Scan
-from ..core.cost import Statistics
-from ..errors import PeerError
 from ..net.message import Message
 from ..net.simulator import Network
 from ..obs.tracer import NULL_SPAN
 from ..peers.base import PeerBase
-from ..peers.client import ClientPeer
 from ..peers.protocol import (
     AdvertisementReply,
     AdvertisementRequest,
@@ -36,11 +32,9 @@ from ..peers.protocol import (
 from ..peers.simple import PendingQuery, SimplePeer
 from ..rdf.graph import Graph
 from ..rdf.schema import Schema
-from ..resilience import ResilienceConfig
 from ..rql.bindings import BindingTable
 from ..rql.pattern import QueryPattern
-from ..workload_engine import AdmissionControl, FairScheduler, WorkloadReport, WorkloadSpec
-from ..workload_engine import serve as _serve_workload
+from .base import SystemBase
 
 
 class AdhocPeer(SimplePeer):
@@ -430,8 +424,15 @@ class AdhocPeer(SimplePeer):
             self._deepen_or_fail(pending)
 
 
-class AdhocSystem:
-    """Builder/harness for an ad-hoc deployment.
+class AdhocSystem(SystemBase):
+    """Builder/harness for an ad-hoc deployment (other options: see
+    :class:`~repro.systems.base.SystemBase`).
+
+    The ad-hoc architecture has no routing servers: no RouteBusy tier
+    under admission control (delegation back-pressure comes from the
+    coordinator bounds at each forwarding peer) and no heartbeat
+    detector under resilience (suspicion comes from channel timeouts
+    and the delegation deadline).
 
     Args:
         use_dht: Maintain a schema DHT over the peers and let them
@@ -439,116 +440,20 @@ class AdhocSystem:
             of (only) k-depth neighbourhood broadcasts.
     """
 
-    def __init__(
-        self,
-        schema: Schema,
-        seed: int = 0,
-        default_latency: float = 1.0,
-        statistics: Optional[Statistics] = None,
-        use_dht: bool = False,
-        cache_enabled: bool = True,
-        observability: bool = True,
-        vectorize: bool = True,
-        batch_size: int = 256,
-        cost_based: bool = False,
-        encode: bool = False,
-        **peer_options,
-    ):
-        self.schema = schema
-        self.network = Network(
-            seed=seed, default_latency=default_latency, observability=observability
-        )
-        # cost-based planning shares one statistics store across the
-        # deployment: every peer folds its own summary in at join time
-        if statistics is None and cost_based:
-            statistics = Statistics()
-        self.statistics = statistics
-        self.cache_enabled = cache_enabled
-        self.vectorize = vectorize
-        self.batch_size = batch_size
-        self.cost_based = cost_based
-        self.encode = encode
-        self.peer_options = dict(peer_options)
-        self.peer_options.setdefault("cache_enabled", cache_enabled)
-        # deployment-wide execution mode (--no-vectorize / --batch-size)
-        self.peer_options.setdefault("vectorize", vectorize)
-        self.peer_options.setdefault("batch_size", batch_size)
-        # deployment-wide planning/storage mode (--cost-based / --encode)
-        self.peer_options.setdefault("cost_based", cost_based)
-        self.peer_options.setdefault("encode", encode)
+    peer_class = AdhocPeer
+
+    def __init__(self, *args, use_dht: bool = False, **options):
+        super().__init__(*args, **options)
         self.peers: Dict[str, AdhocPeer] = {}
-        self.clients: Dict[str, ClientPeer] = {}
-        self._client_counter = itertools.count(1)
-        #: set by :meth:`enable_resilience`; later-added peers inherit it
-        self.resilience: Optional[ResilienceConfig] = None
-        #: set by :meth:`enable_admission` / :meth:`enable_fair_scheduling`;
-        #: later-added peers inherit both
-        self.admission: Optional[AdmissionControl] = None
-        self.fair_quantum: Optional[float] = None
         self.dht = None
         if use_dht:
             from ..dht import ChordRing, SchemaDHT
 
-            self.dht = SchemaDHT(ChordRing(), schema)
-
-    # ------------------------------------------------------------------
-    # concurrency (repro.workload_engine)
-    # ------------------------------------------------------------------
-    def enable_admission(
-        self, control: Optional[AdmissionControl] = None
-    ) -> AdmissionControl:
-        """Bound what every peer's coordinator role accepts: park
-        overflow queries, shed beyond the queue with a retry-after
-        hint, and (when set) cancel deadline stragglers.  The ad-hoc
-        architecture has no routing servers, so there is no RouteBusy
-        tier here — delegation back-pressure comes from the same
-        coordinator bounds at each forwarding peer."""
-        control = control or AdmissionControl.default()
-        self.admission = control
-        for peer in self.peers.values():
-            peer.admission = control
-        return control
-
-    def enable_fair_scheduling(self, quantum: float = 0.25) -> None:
-        """Give every peer a fair per-query scheduler (see the hybrid
-        twin): local work interleaves round-robin across queries."""
-        self.fair_quantum = quantum
-        for peer in self.peers.values():
-            if peer.scheduler is None:
-                peer.install_scheduler(FairScheduler(self.network, quantum))
-
-    def serve(self, spec: WorkloadSpec, max_events: int = 2_000_000) -> WorkloadReport:
-        """Drive a workload against this deployment (see the hybrid
-        twin); returns the workload report."""
-        return _serve_workload(self, spec, max_events=max_events)
-
-    # ------------------------------------------------------------------
-    # resilience
-    # ------------------------------------------------------------------
-    def enable_resilience(
-        self, config: Optional[ResilienceConfig] = None
-    ) -> ResilienceConfig:
-        """Turn the resilience layer on deployment-wide.  The ad-hoc
-        architecture has no routing servers to run a failure detector
-        on; its suspicion signal comes from channel timeouts and the
-        delegation deadline instead."""
-        config = config or ResilienceConfig.default()
-        self.resilience = config
-        for peer in self.peers.values():
-            self._apply_resilience_peer(peer)
-        for client in self.clients.values():
-            client.submit_retry = config.client_retry
-        return config
+            self.dht = SchemaDHT(ChordRing(), self.schema)
 
     def _apply_resilience_peer(self, peer: "AdhocPeer") -> None:
-        config = self.resilience
-        peer.channel_retry = config.channel_retry
-        peer.quarantine_enabled = config.quarantine_enabled
-        peer.partial_results = config.partial_results
-        peer.delegation_timeout = config.delegation_timeout
-        peer.replan_budget = ReplanBudget(
-            config.max_replans, config.replan_delay, config.replan_backoff
-        )
+        super()._apply_resilience_peer(peer)
+        peer.delegation_timeout = self.resilience.delegation_timeout
 
     def add_peer(
         self,
@@ -567,14 +472,7 @@ class AdhocSystem:
             dht=self.dht,
             **self.peer_options,
         )
-        peer.join(self.network)
-        self.peers[peer_id] = peer
-        if self.resilience is not None:
-            self._apply_resilience_peer(peer)
-        if self.admission is not None:
-            peer.admission = self.admission
-        if self.fair_quantum is not None:
-            peer.install_scheduler(FairScheduler(self.network, self.fair_quantum))
+        self._register_peer(peer)
         if self.dht is not None:
             advertisement = peer.own_advertisement()
             if advertisement is not None:
@@ -582,15 +480,6 @@ class AdhocSystem:
             else:
                 self.dht.ring.join(peer_id)
         return peer
-
-    def add_client(self, peer_id: Optional[str] = None) -> ClientPeer:
-        peer_id = peer_id or f"client{next(self._client_counter)}"
-        client = ClientPeer(peer_id)
-        client.join(self.network)
-        self.clients[peer_id] = client
-        if self.resilience is not None:
-            client.submit_retry = self.resilience.client_retry
-        return client
 
     def discover_all(self, depth: int = 1) -> None:
         """Have every peer pull its neighbourhood's advertisements and
@@ -610,53 +499,3 @@ class AdhocSystem:
             )
         system.discover_all()
         return system
-
-    def run(self, max_events: int = 1_000_000) -> int:
-        return self.network.run(max_events=max_events)
-
-    def submit(self, via_peer: str, text: str, client: Optional[ClientPeer] = None,
-               max_peers=None, limit=None, order_by=None, descending=False) -> str:
-        """Submit a query through a peer; returns the query id.
-
-        Call :meth:`run` afterwards to drive the event loop.  Accepts
-        the same ``client`` and result-shaping keywords as
-        :meth:`query` (the hybrid twin's signature, kept symmetric).
-        """
-        client = client or (
-            next(iter(self.clients.values())) if self.clients else self.add_client()
-        )
-        return client.submit(
-            via_peer, text, max_peers=max_peers, limit=limit,
-            order_by=order_by, descending=descending,
-        )
-
-    def query(self, via_peer: str, text: str, max_peers=None, limit=None,
-              order_by=None, descending=False,
-              client: Optional[ClientPeer] = None):
-        """Submit through a peer, run to quiescence, return the table.
-
-        Args:
-            via_peer: The peer the client connects through.
-            text: RQL source text.
-            max_peers: Per-pattern broadcast bound (Section 5).
-            limit: Top-N bound on the answer.
-            client: Submit through this client instead of the first
-                registered one (same keyword :meth:`submit` honours).
-
-        Raises:
-            PeerError: When the query failed (carries the reason).
-        """
-        client = client or (
-            next(iter(self.clients.values())) if self.clients else self.add_client()
-        )
-        query_id = client.submit(
-            via_peer, text, max_peers=max_peers, limit=limit,
-            order_by=order_by, descending=descending,
-        )
-        self.run()
-        result = client.result(query_id)
-        if result is None:
-            raise PeerError(f"query {query_id} produced no reply")
-        if result.error is not None:
-            raise PeerError(f"query {query_id} failed: {result.error}")
-        return result.table

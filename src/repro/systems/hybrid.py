@@ -11,24 +11,19 @@ result assembly) — exactly Figure 6's flow.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Iterable, Optional, Sequence
 
-from ..core.adaptivity import ReplanBudget
-from ..core.cost import Statistics
 from ..errors import PeerError
 from ..net.message import Message
 from ..net.simulator import Network
 from ..resilience import HeartbeatEmitter, ResilienceConfig
 from ..peers.base import PeerBase
-from ..peers.client import ClientPeer
 from ..peers.protocol import Advertise, RouteBusy, RouteReply, RouteRequest
 from ..peers.simple import PendingQuery, SimplePeer
 from ..peers.super import SuperPeer
-from ..workload_engine import AdmissionControl, FairScheduler, WorkloadReport, WorkloadSpec
-from ..workload_engine import serve as _serve_workload
 from ..rdf.graph import Graph
 from ..rdf.schema import Schema
+from .base import SystemBase
 
 
 class HybridPeer(SimplePeer):
@@ -179,8 +174,9 @@ class HybridPeer(SimplePeer):
         self._on_annotated(pending, reply.annotated)
 
 
-class HybridSystem:
-    """Builder/harness for a hybrid deployment.
+class HybridSystem(SystemBase):
+    """Builder/harness for a hybrid deployment (options: see
+    :class:`~repro.systems.base.SystemBase`).
 
     Example:
         >>> system = HybridSystem(schema)                  # doctest: +SKIP
@@ -189,96 +185,17 @@ class HybridSystem:
         >>> table = system.query("P1", "SELECT ...")       # doctest: +SKIP
     """
 
-    def __init__(
-        self,
-        schema: Schema,
-        seed: int = 0,
-        default_latency: float = 1.0,
-        statistics: Optional[Statistics] = None,
-        cache_enabled: bool = True,
-        observability: bool = True,
-        vectorize: bool = True,
-        batch_size: int = 256,
-        cost_based: bool = False,
-        encode: bool = False,
-        transport=None,
-        **peer_options,
-    ):
-        self.schema = schema
-        self.network = Network(
-            seed=seed,
-            default_latency=default_latency,
-            observability=observability,
-            transport=transport,
-        )
-        # cost-based planning needs one statistics store the whole
-        # deployment shares: peers fold advertised summaries and
-        # observed link costs into it, super-peers do the same
-        if statistics is None and cost_based:
-            statistics = Statistics()
-        self.statistics = statistics
-        self.cache_enabled = cache_enabled
-        self.vectorize = vectorize
-        self.batch_size = batch_size
-        self.cost_based = cost_based
-        self.encode = encode
-        self.peer_options = dict(peer_options)
-        # deployment-wide switch (--no-cache): every super-peer index
-        # and simple peer runs cold unless a peer option overrides it
-        self.peer_options.setdefault("cache_enabled", cache_enabled)
-        # deployment-wide execution mode (--no-vectorize / --batch-size)
-        self.peer_options.setdefault("vectorize", vectorize)
-        self.peer_options.setdefault("batch_size", batch_size)
-        # deployment-wide planning/storage mode (--cost-based / --encode)
-        self.peer_options.setdefault("cost_based", cost_based)
-        self.peer_options.setdefault("encode", encode)
+    peer_class = HybridPeer
+
+    def __init__(self, *args, **options):
+        super().__init__(*args, **options)
         self.super_peers: Dict[str, SuperPeer] = {}
         self.peers: Dict[str, HybridPeer] = {}
-        self.clients: Dict[str, ClientPeer] = {}
         self._backbone_directory: Dict[str, str] = {}
-        self._client_counter = itertools.count(1)
-        #: set by :meth:`enable_resilience`; later-added peers inherit it
-        self.resilience: Optional[ResilienceConfig] = None
         self.heartbeat_emitters: Dict[str, HeartbeatEmitter] = {}
-        #: set by :meth:`enable_admission` / :meth:`enable_fair_scheduling`;
-        #: later-added peers inherit both
-        self.admission: Optional[AdmissionControl] = None
-        self.fair_quantum: Optional[float] = None
 
-    # ------------------------------------------------------------------
-    # concurrency (repro.workload_engine)
-    # ------------------------------------------------------------------
-    def enable_admission(
-        self, control: Optional[AdmissionControl] = None
-    ) -> AdmissionControl:
-        """Bound what the deployment accepts: coordinators park overflow
-        queries and shed beyond their queue, super-peers pace their
-        routing service and answer saturation with RouteBusy, and
-        per-query deadlines (when set) cancel stragglers."""
-        control = control or AdmissionControl.default()
-        self.admission = control
-        for peer in self.peers.values():
-            peer.admission = control
-        for super_peer in self.super_peers.values():
-            super_peer.admission = control
-        return control
-
-    def enable_fair_scheduling(self, quantum: float = 0.25) -> None:
-        """Give every simple peer a fair per-query scheduler: local work
-        units (subplan starts, scans, channel completions) interleave
-        round-robin across in-flight queries, one per ``quantum`` of
-        virtual time (a slice of peer CPU)."""
-        self.fair_quantum = quantum
-        for peer in self.peers.values():
-            if peer.scheduler is None:
-                peer.install_scheduler(FairScheduler(self.network, quantum))
-
-    def serve(self, spec: WorkloadSpec, max_events: int = 2_000_000) -> WorkloadReport:
-        """Drive a workload against this deployment: many queries in
-        flight concurrently on the virtual clock, injected mid-run by
-        the driver.  Returns the workload report (outcomes, throughput,
-        latency percentiles)."""
-        return _serve_workload(self, spec, max_events=max_events)
+    def _routing_servers(self):
+        return self.super_peers.values()
 
     # ------------------------------------------------------------------
     # resilience
@@ -286,30 +203,19 @@ class HybridSystem:
     def enable_resilience(
         self, config: Optional[ResilienceConfig] = None
     ) -> ResilienceConfig:
-        """Turn the resilience layer on deployment-wide: channel and
-        routing retries, client resubmits, quarantine-filtered routing,
-        partial results, and a heartbeat failure detector per
+        """Turn the resilience layer on deployment-wide (see the base)
+        plus routing retries and a heartbeat failure detector per
         super-peer (drive it with
         :func:`~repro.resilience.harness.heartbeat_round`)."""
-        config = config or ResilienceConfig.default()
-        self.resilience = config
+        config = super().enable_resilience(config)
         for super_peer in self.super_peers.values():
             self._apply_resilience_super(super_peer)
-        for peer in self.peers.values():
-            self._apply_resilience_peer(peer)
-        for client in self.clients.values():
-            client.submit_retry = config.client_retry
         return config
 
     def _apply_resilience_peer(self, peer: "HybridPeer") -> None:
+        super()._apply_resilience_peer(peer)
         config = self.resilience
-        peer.channel_retry = config.channel_retry
         peer.routing_retry = config.routing_retry
-        peer.quarantine_enabled = config.quarantine_enabled
-        peer.partial_results = config.partial_results
-        peer.replan_budget = ReplanBudget(
-            config.max_replans, config.replan_delay, config.replan_backoff
-        )
         self.heartbeat_emitters[peer.peer_id] = HeartbeatEmitter(
             peer, peer._advertisement_targets(), interval=config.heartbeat_interval
         )
@@ -378,24 +284,8 @@ class HybridSystem:
             statistics=self.statistics,
             **self.peer_options,
         )
-        peer.join(self.network)
-        self.peers[peer_id] = peer
-        if self.resilience is not None:
-            self._apply_resilience_peer(peer)
-        if self.admission is not None:
-            peer.admission = self.admission
-        if self.fair_quantum is not None:
-            peer.install_scheduler(FairScheduler(self.network, self.fair_quantum))
+        self._register_peer(peer)
         return peer
-
-    def add_client(self, peer_id: Optional[str] = None) -> ClientPeer:
-        peer_id = peer_id or f"client{next(self._client_counter)}"
-        client = ClientPeer(peer_id)
-        client.join(self.network)
-        self.clients[peer_id] = client
-        if self.resilience is not None:
-            client.submit_retry = self.resilience.client_retry
-        return client
 
     @classmethod
     def from_scenario(cls, scenario, **kwargs) -> "HybridSystem":
@@ -409,56 +299,3 @@ class HybridSystem:
                 peer_id, scenario.bases[peer_id], scenario.home_super_peer[peer_id]
             )
         return system
-
-    # ------------------------------------------------------------------
-    # querying
-    # ------------------------------------------------------------------
-    def submit(self, via_peer: str, text: str, client: Optional[ClientPeer] = None,
-               max_peers=None, limit=None, order_by=None, descending=False) -> str:
-        """Submit a query through a simple peer; returns the query id.
-
-        Call :meth:`run` afterwards to drive the event loop.  Accepts
-        the same ``client`` and result-shaping keywords as
-        :meth:`query`.
-        """
-        client = client or (
-            next(iter(self.clients.values())) if self.clients else self.add_client()
-        )
-        return client.submit(
-            via_peer, text, max_peers=max_peers, limit=limit,
-            order_by=order_by, descending=descending,
-        )
-
-    def run(self, max_events: int = 1_000_000) -> int:
-        return self.network.run(max_events=max_events)
-
-    def query(self, via_peer: str, text: str, max_peers=None, limit=None,
-              order_by=None, descending=False,
-              client: Optional[ClientPeer] = None):
-        """Submit, run to quiescence, and return the result table.
-
-        Args:
-            via_peer: The coordinating simple peer.
-            text: RQL source text.
-            max_peers: Per-pattern broadcast bound (Section 5).
-            limit: Top-N bound on the answer.
-            client: Submit through this client instead of the first
-                registered one (same keyword :meth:`submit` honours).
-
-        Raises:
-            PeerError: When the query failed (carries the reason).
-        """
-        client = client or (
-            next(iter(self.clients.values())) if self.clients else self.add_client()
-        )
-        query_id = client.submit(
-            via_peer, text, max_peers=max_peers, limit=limit,
-            order_by=order_by, descending=descending,
-        )
-        self.run()
-        result = client.result(query_id)
-        if result is None:
-            raise PeerError(f"query {query_id} produced no reply")
-        if result.error is not None:
-            raise PeerError(f"query {query_id} failed: {result.error}")
-        return result.table

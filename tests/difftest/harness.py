@@ -2,8 +2,8 @@
 
 The oracle: for any seeded workload (synthetic RDF/S schema, peer
 bases, conjunctive chain queries), evaluating a query through a
-distributed deployment — hybrid or ad-hoc, vectorized or scalar, any
-batch size — must return exactly the binding multiset the centralized
+distributed deployment — hybrid or ad-hoc, term-valued or
+dictionary-encoded, any batch size — must return exactly the binding multiset the centralized
 evaluator produces over the *union* of every peer base.
 
 The centralized reference is :func:`repro.rql.evaluator.query` on one

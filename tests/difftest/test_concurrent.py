@@ -9,8 +9,9 @@ query's answer must be identical to evaluating the same query on a
 *fresh* twin deployment one at a time.
 
 The sweep is 25 seeds x 8 modes = 200 seeded concurrent workloads,
-spanning hybrid and ad-hoc architectures, vectorized and scalar
-execution, odd batch sizes, admission control and fair scheduling.
+spanning hybrid and ad-hoc architectures, default and per-binding
+(batch size 1) shipping, odd batch sizes, admission control and fair
+scheduling.
 """
 
 import pytest
@@ -48,14 +49,15 @@ def _with_fair_scheduling(system):
     return system
 
 
-#: (mode id, deployment builder, system options, post-build configure)
+#: (mode id, deployment builder, system options, post-build configure);
+#: ``*-scalar`` rows ship one binding per DataPacket
 MODES = [
     ("hybrid-vectorized", build_hybrid, {}, None),
-    ("hybrid-scalar", build_hybrid, {"vectorize": False}, None),
+    ("hybrid-scalar", build_hybrid, {"batch_size": 1}, None),
     ("hybrid-batch7", build_hybrid, {"batch_size": 7}, None),
     ("hybrid-admission", build_hybrid, {}, _with_admission),
     ("adhoc-vectorized", build_adhoc, {}, None),
-    ("adhoc-scalar", build_adhoc, {"vectorize": False}, None),
+    ("adhoc-scalar", build_adhoc, {"batch_size": 1}, None),
     ("adhoc-batch5", build_adhoc, {"batch_size": 5}, None),
     ("adhoc-fair", build_adhoc, {}, _with_fair_scheduling),
 ]

@@ -9,9 +9,9 @@ exactly equal: result tables, error strings and coverage annotations
 alike.  Successful answers are additionally checked against the
 centralized oracle over the merged bases.
 
-The sweep spans hybrid and ad-hoc deployments, scalar and
-dictionary-encoded execution, and odd batch sizes, totalling more than
-200 seeded comparisons.
+The sweep spans hybrid and ad-hoc deployments, term-valued and
+dictionary-encoded execution, and odd batch sizes (1 ships one binding
+per DataPacket), totalling more than 200 seeded comparisons.
 """
 
 import pytest
@@ -27,13 +27,14 @@ from .harness import (
 SEEDS = list(range(9))
 QUERIES_PER_DATASET = 4
 
-#: (mode id, builder, shared system options) — cost_based toggles on top
+#: (mode id, builder, shared system options) — cost_based toggles on
+#: top; ``*-scalar`` rows ship one binding per DataPacket
 MODES = [
     ("hybrid-encoded", build_hybrid, {"encode": True}),
-    ("hybrid-scalar", build_hybrid, {"vectorize": False}),
+    ("hybrid-scalar", build_hybrid, {"batch_size": 1}),
     ("hybrid-batch-7", build_hybrid, {"batch_size": 7}),
     ("adhoc-encoded", build_adhoc, {"encode": True}),
-    ("adhoc-scalar", build_adhoc, {"vectorize": False}),
+    ("adhoc-scalar", build_adhoc, {"batch_size": 1}),
     ("adhoc-encoded-batch-13", build_adhoc, {"encode": True, "batch_size": 13}),
 ]
 

@@ -18,13 +18,14 @@ from .harness import (
 SEEDS = list(range(10))
 QUERIES_PER_DATASET = 4
 
-#: (mode id, builder, system options)
+#: (mode id, builder, system options); ``*-scalar`` rows ship one
+#: binding per DataPacket (the per-binding wire format)
 MODES = [
     ("hybrid-vectorized", build_hybrid, {}),
-    ("hybrid-scalar", build_hybrid, {"vectorize": False}),
+    ("hybrid-scalar", build_hybrid, {"batch_size": 1}),
     ("hybrid-smallbatch", build_hybrid, {"batch_size": 7}),
     ("adhoc-vectorized", build_adhoc, {}),
-    ("adhoc-scalar", build_adhoc, {"vectorize": False}),
+    ("adhoc-scalar", build_adhoc, {"batch_size": 1}),
 ]
 
 

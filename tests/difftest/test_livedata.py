@@ -16,7 +16,7 @@ caches — and the centralized evaluator over the merged bases:
   final table.
 
 The full wall (``-m slow``) runs 200 scenarios: 25 seeds x 8 modes
-(hybrid/ad-hoc x vectorized/scalar/encoded x odd batch sizes), three
+(hybrid/ad-hoc x default/encoded x batch sizes 1, 3, 7), three
 quiescent revisions each.  Tier-1 keeps a fast cross-section.
 """
 
@@ -29,14 +29,15 @@ from .live_harness import run_live_scenario
 
 WALL_SEEDS = list(range(25))
 
-#: (mode id, system kind, system options)
+#: (mode id, system kind, system options); ``*-scalar`` rows ship one
+#: binding per DataPacket
 MODES = [
     ("hybrid", "hybrid", {}),
-    ("hybrid-scalar", "hybrid", {"vectorize": False}),
+    ("hybrid-scalar", "hybrid", {"batch_size": 1}),
     ("hybrid-encoded", "hybrid", {"encode": True}),
     ("hybrid-batch7", "hybrid", {"batch_size": 7}),
     ("adhoc", "adhoc", {}),
-    ("adhoc-scalar", "adhoc", {"vectorize": False}),
+    ("adhoc-scalar", "adhoc", {"batch_size": 1}),
     ("adhoc-encoded", "adhoc", {"encode": True}),
     ("adhoc-batch3", "adhoc", {"batch_size": 3}),
 ]

@@ -15,6 +15,7 @@ from repro.execution.operators import (
 from repro.rdf import Literal, Namespace
 from repro.rql.ast import Condition
 from repro.rql.bindings import BindingTable
+from repro.rql.evaluator import _condition_predicate
 
 EX = Namespace("http://e/")
 
@@ -189,16 +190,16 @@ class TestVectorizedOperators:
                 (Literal("text"), Literal(3)),
             ],
         )
-        conditions = [Condition("X", ">", Literal(2))]
-        assert apply_conditions(t, conditions, vectorize=True) == apply_conditions(
-            t, conditions
+        condition = Condition("X", ">", Literal(2))
+        assert apply_conditions(t, [condition]) == t.select(
+            _condition_predicate(condition)
         )
 
     def test_vectorized_variable_condition_matches_scalar(self):
         t = table(("X", "Y"), [(Literal(1), Literal(2)), (Literal(5), Literal(3))])
-        conditions = [Condition("X", "<", "Y", value_is_variable=True)]
-        assert apply_conditions(t, conditions, vectorize=True) == apply_conditions(
-            t, conditions
+        condition = Condition("X", "<", "Y", value_is_variable=True)
+        assert apply_conditions(t, [condition]) == t.select(
+            _condition_predicate(condition)
         )
 
     def test_finalize_paths_agree(self):
@@ -210,8 +211,9 @@ class TestVectorizedOperators:
                 (EX.a, Literal(7), EX.r),
             ],
         )
-        conditions = [Condition("Y", ">=", Literal(2))]
-        scalar = finalize(t, ["X", "Y"], conditions)
-        vector = finalize(t, ["X", "Y"], conditions, vectorize=True)
-        assert vector == scalar
-        assert vector.columns == scalar.columns
+        condition = Condition("Y", ">=", Literal(2))
+        reference = t.select(_condition_predicate(condition)).project(["X", "Y"])
+        reference = reference.distinct()
+        out = finalize(t, ["X", "Y"], [condition])
+        assert out == reference
+        assert out.columns == reference.columns

@@ -33,6 +33,7 @@ from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import BNode, Literal, URI, Variable
 from repro.rql.ast import Condition
 from repro.rql.bindings import BindingTable
+from repro.rql.evaluator import _condition_predicate
 from repro.transport.codec import decode_payload, encode_payload
 
 safe_text = st.text(
@@ -176,7 +177,8 @@ def test_encoded_concat_equals_scalar_concat(tables):
 @settings(max_examples=80)
 def test_encoded_finalize_equals_scalar_finalize(table, operator, value, var_rhs):
     """Filter + project + distinct on ids, decoding per distinct id,
-    matches the scalar path row for row."""
+    matches the oracle's table operators row for row — as does the
+    term-valued ``finalize``."""
     if var_rhs:
         condition = Condition("V0", operator, Variable("V1"), value_is_variable=True)
     else:
@@ -184,17 +186,21 @@ def test_encoded_finalize_equals_scalar_finalize(table, operator, value, var_rhs
     projections = list(table.columns[:2])
     d = TermDictionary()
     ids = encode_cells(table, d)
-    scalar = finalize(table, projections, [condition], vectorize=True)
+    reference = (
+        table.select(_condition_predicate(condition)).project(projections).distinct()
+    )
     encoded = finalize_encoded(ids, d, projections, [condition])
-    assert encoded.columns == scalar.columns
-    assert encoded.rows == scalar.rows
+    terms_out = finalize(table, projections, [condition])
+    for out in (encoded, terms_out):
+        assert out.columns == reference.columns
+        assert out.rows == reference.rows
 
 
 def test_ordered_comparison_with_mixed_term_kinds_rejects_rows():
     """Regression (found by the property above): ordering a boolean
     literal against a URI used to raise AttributeError out of
     ``URI.__lt__`` instead of the TypeError the incomparable-types rule
-    maps to False — on both the scalar and the encoded path."""
+    maps to False — on both the term-valued and the encoded path."""
     table = BindingTable(
         ("V0", "V1"),
         [
@@ -203,11 +209,11 @@ def test_ordered_comparison_with_mixed_term_kinds_rejects_rows():
         ],
     )
     condition = Condition("V0", ">", URI("http://example.org/a"))
-    scalar = finalize(table, ["V0", "V1"], [condition], vectorize=True)
+    plain = finalize(table, ["V0", "V1"], [condition])
     d = TermDictionary()
     encoded = finalize_encoded(
         encode_cells(table, d), d, ["V0", "V1"], [condition]
     )
     # the boolean row is incomparable (rejected); the URI row compares
-    assert scalar.rows == [(URI("http://example.org/b"), Literal(False))]
-    assert encoded.rows == scalar.rows
+    assert plain.rows == [(URI("http://example.org/b"), Literal(False))]
+    assert encoded.rows == plain.rows

@@ -58,6 +58,14 @@ class TestQuery:
         assert main(self._args(files, extra=["--limit", "3"])) == 0
         assert "# 3 rows" in capsys.readouterr().err
 
+    def test_batch_size_below_one_exits_2(self, files, capsys):
+        assert main(self._args(files, extra=["--batch-size", "0"])) == 2
+        assert "batch_size must be >= 1" in capsys.readouterr().err
+
+    def test_vectorize_flag_is_gone(self, files):
+        with pytest.raises(SystemExit):
+            main(self._args(files, extra=["--no-vectorize"]))
+
     def test_bad_peer_spec(self, files, capsys):
         schema_path, peer_paths = files
         args = [
