@@ -6,14 +6,12 @@ chunks and ships :attr:`batch_size` bindings per packet, so a channel's
 cost is paid per *batch*, not per *binding*.  This experiment sweeps
 the batch size over a union-heavy synthetic workload (~500 answer
 rows), from ``batch_size=1`` — the per-binding wire format — up, plus
-the dictionary-encoded engine with and without the cost-based planner,
-and measures answer equality, wall-clock time, simulator messages and
-shipped data packets.
+the dictionary-encoded engine, and measures answer equality, wall-clock
+time, simulator messages and shipped data packets.
 
 Invariants asserted by the pytest entry points:
 
-* identical answers at every batch size, dictionary-encoded or
-  cost-based;
+* identical answers at every batch size, dictionary-encoded or not;
 * ``batch_size=256`` ships ≥ 10x fewer simulator messages and data
   packets than ``batch_size=1``.
 
@@ -63,7 +61,7 @@ def run_once(
 ):
     """One end-to-end query; returns a measurement dict.
 
-    Extra keyword ``options`` (``encode=``, ``cost_based=``, ...) are
+    Extra keyword ``options`` (``encode=``, ...) are
     forwarded to :class:`~repro.systems.HybridSystem` verbatim.
     """
     bases = _bases(statements)
@@ -92,15 +90,14 @@ def run_once(
 
 
 #: (label, batch_size, extra options) sweep — "batch-1" is the
-#: per-binding wire format every speedup is relative to; "encoded+cost"
-#: is the dictionary-encoded columnar engine under the cost-based planner
+#: per-binding wire format every speedup is relative to; "encoded" is
+#: the dictionary-encoded columnar engine
 SWEEP = [
     ("batch-1", 1, {}),
     ("batch-8", 8, {}),
     ("batch-32", 32, {}),
     ("batch-256", 256, {}),
     ("encoded", 256, {"encode": True}),
-    ("encoded+cost", 256, {"encode": True, "cost_based": True}),
 ]
 
 

@@ -111,13 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "one binding per packet)",
     )
     query.add_argument(
-        "--cost-based",
-        action="store_true",
-        help="statistics-driven planning: peers advertise per-predicate "
-        "statistics, joins are ordered by estimated cardinality and the "
-        "cost model places operators (off: the rule-based path)",
-    )
-    query.add_argument(
         "--encode",
         action="store_true",
         help="dictionary-encoded columnar execution: scans run over "
@@ -452,7 +445,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             schema,
             cache_enabled=not args.no_cache,
             batch_size=args.batch_size,
-            cost_based=args.cost_based,
             encode=args.encode,
         )
     except ValueError as error:

@@ -10,65 +10,17 @@ bytes shipped, messages sent and completion time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..rdf.terms import URI
 from .algebra import Hole, Join, PlanNode, Scan, Union
 
 #: Estimated wire bytes per binding-table row (term renderings + overhead).
 DEFAULT_ROW_BYTES = 64
-#: Default join selectivity when no statistics narrow it down.
+#: Fraction of a join's cross product assumed to survive it.
 DEFAULT_JOIN_SELECTIVITY = 0.01
 #: Wire size of a subplan/control message.
 CONTROL_MESSAGE_BYTES = 256
-
-
-@dataclass(frozen=True)
-class StatSummary:
-    """A peer's compact statistics advertisement.
-
-    Rides alongside the active-schema advertisement (Section 2.5's
-    "expected size of peers' query results"): per-predicate row counts
-    plus distinct endpoint counts, from which the receiving super-peer
-    derives cardinalities and join selectivities.
-
-    Attributes:
-        peer_id: The advertising peer.
-        predicates: ``(property URI value, rows, distinct subjects,
-            distinct objects)`` per non-empty predicate.
-    """
-
-    peer_id: str
-    predicates: Tuple[Tuple[str, int, int, int], ...] = ()
-
-    def size_bytes(self) -> int:
-        return 32 + 24 * len(self.predicates)
-
-
-def harvest_stat_summary(graph, schema, peer_id: str) -> StatSummary:
-    """Derive a peer's stat summary from its own base.
-
-    Counts are RDFS-entailed (the same :class:`~repro.rdf.inference.
-    InferredView` semantics queries see), so the advertised cardinality
-    of ``prop1`` includes a base that only stores ``prop4 ⊑ prop1``
-    statements — Figure 2's P4 advertises non-zero ``prop1`` rows.
-    """
-    from ..rdf.inference import InferredView
-
-    view = InferredView(graph, schema)
-    predicates = []
-    for prop in sorted(schema.properties, key=lambda p: p.value):
-        rows = 0
-        subjects = set()
-        objects = set()
-        for triple in view.triples(None, prop, None):
-            rows += 1
-            subjects.add(triple.subject)
-            objects.add(triple.object)
-        if rows:
-            predicates.append((prop.value, rows, len(subjects), len(objects)))
-    return StatSummary(peer_id, tuple(predicates))
 
 
 class Statistics:
@@ -99,9 +51,6 @@ class Statistics:
         self._link_cost: Dict[Tuple[str, str], float] = {}
         self._load: Dict[str, int] = {}
         self._slots: Dict[str, int] = {}
-        #: property → (max distinct subjects, max distinct objects)
-        #: across folded peer summaries; feeds :meth:`selectivity`
-        self._distinct: Dict[URI, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # recording
@@ -126,56 +75,11 @@ class Statistics:
         self._load[peer_id] = load
         self._slots[peer_id] = max(1, slots)
 
-    def fold_summary(self, summary: StatSummary) -> None:
-        """Fold a peer's advertised :class:`StatSummary` in: observed
-        cardinalities replace the static defaults, and distinct counts
-        sharpen the per-predicate join selectivity."""
-        for value, rows, distinct_subjects, distinct_objects in summary.predicates:
-            prop = URI(value)
-            self.set_cardinality(summary.peer_id, prop, rows)
-            previous = self._distinct.get(prop, (0, 0))
-            merged = (
-                max(previous[0], distinct_subjects),
-                max(previous[1], distinct_objects),
-            )
-            if merged != previous:
-                self.version += 1
-            self._distinct[prop] = merged
-
-    def fold_link_observations(
-        self, observations: Mapping[Tuple[str, str], Tuple[float, float]]
-    ) -> None:
-        """Fold observed per-link (mean delay, mean bytes) pairs — from
-        :meth:`~repro.metrics.collectors.MetricSet.link_observations` —
-        into per-byte link costs, replacing the static default.
-
-        Costs are rounded to three significant digits before recording
-        so minor histogram drift between folds does not churn
-        :attr:`version` (and with it every plan cache).
-        """
-        for (a, b), (mean_delay, mean_bytes) in sorted(observations.items()):
-            if a == b:
-                continue
-            cost = mean_delay / max(mean_bytes, 1.0)
-            self.set_link_cost(a, b, float(f"{cost:.3g}"))
-
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------
     def cardinality(self, peer_id: str, prop: URI) -> int:
         return self._cardinality.get((peer_id, prop), self.default_cardinality)
-
-    def selectivity(self, prop: URI) -> float:
-        """Join selectivity of a predicate: ``1 / max(distinct
-        subjects, distinct objects)`` when a summary supplied the
-        distinct counts, else the static default — so with no stats
-        folded the model is numerically identical to the rule-based
-        era."""
-        distinct = self._distinct.get(prop)
-        if not distinct:
-            return self.join_selectivity
-        denominator = max(distinct)
-        return 1.0 / denominator if denominator else self.join_selectivity
 
     def link_cost(self, a: str, b: str) -> float:
         if a == b:
@@ -187,9 +91,6 @@ class Statistics:
         load = self._load.get(peer_id, 0)
         slots = self._slots.get(peer_id, 1)
         return 1.0 + load / slots
-
-    def known_peers(self) -> Iterable[str]:
-        return sorted({p for p, _ in self._cardinality} | set(self._load))
 
 
 class CostEstimate:
@@ -244,22 +145,8 @@ class CostModel:
             if index == 0:
                 result = rows
             else:
-                result = result * rows * self.stats.selectivity(prop)
+                result = result * rows * self.stats.join_selectivity
         return result
-
-    def _plan_selectivity(self, plan: PlanNode) -> float:
-        """Selectivity applied when a subplan joins in: the sharpest
-        (smallest) per-predicate selectivity among its scans' properties
-        — the most selective join predicate dominates.  Falls back to
-        the static default when no summary narrowed anything down."""
-        best: Optional[float] = None
-        for node in plan.walk():
-            if not isinstance(node, Scan):
-                continue
-            for pattern in node.patterns():
-                s = self.stats.selectivity(pattern.schema_path.property)
-                best = s if best is None else min(best, s)
-        return self.stats.join_selectivity if best is None else best
 
     def cardinality(self, plan: PlanNode) -> float:
         """Expected result rows of a plan node."""
@@ -276,7 +163,7 @@ class CostModel:
                 if result is None:
                     result = rows
                 else:
-                    result = result * rows * self._plan_selectivity(child)
+                    result = result * rows * self.stats.join_selectivity
             return result or 0.0
         raise TypeError(f"unknown plan node {type(plan).__name__}")
 
@@ -319,15 +206,3 @@ class CostModel:
             for child in node.children():
                 largest = max(largest, self.cardinality(child))
         return largest
-
-    def intermediate_result_rows(self, plan: PlanNode) -> float:
-        """Total rows crossing the network: sum over scan leaves.
-
-        This is the quantity Figure 4's heuristic minimises ("pushing
-        joins below the unions produces smaller intermediate results").
-        """
-        return sum(
-            self.scan_cardinality(node)
-            for node in plan.walk()
-            if isinstance(node, Scan)
-        )

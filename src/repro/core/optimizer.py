@@ -53,10 +53,6 @@ class OptimizationTrace:
 
     def __init__(self, plan: PlanNode):
         self.steps: List[Tuple[str, PlanNode]] = [("input", plan)]
-        #: set by the cost-based pass: the chosen plan's estimated cost
-        #: and the rule-based plan's (the rejected alternative) — what
-        #: the ``optimize.cost`` trace span exposes
-        self.cost_decision: Optional[dict] = None
 
     def record(self, rule: str, plan: PlanNode) -> None:
         if plan != self.steps[-1][1]:
@@ -158,46 +154,16 @@ def merge_same_peer_scans(plan: PlanNode) -> PlanNode:
     return join_of(merged)
 
 
-def order_joins_by_cost(plan: PlanNode, cost_model: CostModel) -> PlanNode:
-    """Statistics-driven join ordering, applied recursively.
-
-    Every n-ary join's inputs are reordered by ascending estimated
-    cardinality (render text breaking ties, for determinism).  Under
-    the model's multiplicative cardinality estimate the cost of a join
-    prefix is a product of its inputs' cardinalities, so the ascending
-    order minimises *every* intermediate prefix simultaneously — the
-    greedy order coincides with the dynamic-programming optimum, at
-    O(n log n) instead of O(2^n).  Holes (unroutable patterns) keep
-    their conventional last position.
-    """
-    plan = flatten(plan)
-    if isinstance(plan, (Scan, Hole)):
-        return plan
-    children = [order_joins_by_cost(c, cost_model) for c in plan.children()]
-    if isinstance(plan, Union):
-        return union_of(children)
-    children.sort(
-        key=lambda c: (isinstance(c, Hole), cost_model.cardinality(c), c.render())
-    )
-    return join_of(children)
-
-
 def optimize(
     plan: PlanNode,
     cost_model: Optional[CostModel] = None,
     distribute: bool = True,
     merge: bool = True,
-    cost_based: bool = False,
-    coordinator: str = "",
 ) -> OptimizationTrace:
     """Run the full compile-time pipeline and return its trace.
 
     The trace's steps reproduce Figure 4: input (Plan 1), after
     distribution (Plan 2), after the transformation rules (Plan 3).
-    With ``cost_based`` on, a statistics-driven join-ordering pass
-    follows, and the trace's :attr:`~OptimizationTrace.cost_decision`
-    records the chosen plan's estimated cost against the rule-based
-    plan it displaced (priced from ``coordinator``'s vantage point).
     """
     trace = OptimizationTrace(flatten(plan))
     current = trace.result
@@ -207,13 +173,4 @@ def optimize(
     if merge:
         current = merge_same_peer_scans(current)
         trace.record("merge same-peer (TR1/TR2)", current)
-    if cost_based:
-        model = cost_model or CostModel()
-        rule_based = current
-        current = order_joins_by_cost(current, model)
-        trace.record("cost-based join order", current)
-        trace.cost_decision = {
-            "chosen": model.plan_cost(current, coordinator).total,
-            "rejected": model.plan_cost(rule_based, coordinator).total,
-        }
     return trace

@@ -125,9 +125,7 @@ class AdvertiseDelta:
     much*.
 
     The holder reconstructs the new full advertisement from the one it
-    already has — only the flipped fragments travel.  ``stats``
-    piggybacks the refreshed per-property cardinalities exactly like a
-    full :class:`~repro.peers.protocol.Advertise` does.
+    already has — only the flipped fragments travel.
     """
 
     schema_uri: str
@@ -136,7 +134,6 @@ class AdvertiseDelta:
     removed_paths: Tuple[SchemaPath, ...] = ()
     added_classes: Tuple[URI, ...] = ()
     removed_classes: Tuple[URI, ...] = ()
-    stats: Optional[object] = None
 
     def is_empty(self) -> bool:
         return not (
@@ -154,13 +151,10 @@ class AdvertiseDelta:
         class_bytes = sum(
             len(c.value) + 2 for c in self.added_classes + self.removed_classes
         )
-        stat_bytes = self.stats.size_bytes() if self.stats is not None else 0
-        return 24 + len(self.schema_uri) + len(self.peer_id) + path_bytes + class_bytes + stat_bytes
+        return 24 + len(self.schema_uri) + len(self.peer_id) + path_bytes + class_bytes
 
 
-def advertisement_delta(
-    old: ActiveSchema, new: ActiveSchema, stats=None
-) -> AdvertiseDelta:
+def advertisement_delta(old: ActiveSchema, new: ActiveSchema) -> AdvertiseDelta:
     """The delta that turns advertisement ``old`` into ``new``.
 
     Classes are diffed over the *full* class sets (asserted plus
@@ -178,7 +172,6 @@ def advertisement_delta(
         removed_paths=tuple(sorted(old.paths - new.paths, key=str)),
         added_classes=tuple(sorted(new.classes - old.classes, key=str)),
         removed_classes=tuple(sorted(old.classes - new.classes, key=str)),
-        stats=stats,
     )
 
 

@@ -79,12 +79,6 @@ class MetricSet:
         self._stage_pending: List[Tuple[str, float]] = []
         #: scheduled delivery delay per message kind (repro.obs)
         self.message_delay_by_kind: Dict[str, Histogram] = {}
-        #: observed delivery delay and payload size per directed link —
-        #: the raw material :meth:`link_observations` turns into the
-        #: per-byte link costs cost-based planning folds into
-        #: :class:`~repro.core.cost.Statistics`
-        self.link_delay: Dict[Tuple[str, str], Histogram] = {}
-        self.link_bytes: Dict[Tuple[str, str], Histogram] = {}
         # cache subsystem (repro.cache): routing/plan cache traffic and
         # singleflight coalescing across every peer on the network
         self.cache_hits = 0
@@ -149,26 +143,6 @@ class MetricSet:
             if histogram is None:
                 histogram = self.message_delay_by_kind[kind] = Histogram()
             histogram.record(delay)
-            if src != dst:
-                link = (src, dst)
-                delays = self.link_delay.get(link)
-                if delays is None:
-                    delays = self.link_delay[link] = Histogram()
-                    self.link_bytes[link] = Histogram()
-                delays.record(delay)
-                self.link_bytes[link].record(size)
-
-    def link_observations(self) -> Dict[Tuple[str, str], Tuple[float, float]]:
-        """Per directed link, the observed ``(mean delay, mean payload
-        bytes)`` — what :meth:`Statistics.fold_link_observations`
-        consumes to estimate per-byte communication cost."""
-        observations: Dict[Tuple[str, str], Tuple[float, float]] = {}
-        for link, delays in self.link_delay.items():
-            mean_delay = delays.mean
-            mean_bytes = self.link_bytes[link].mean
-            if mean_delay is not None and mean_bytes is not None:
-                observations[link] = (mean_delay, mean_bytes)
-        return observations
 
     def record_query_processed(self, peer_id: str, relevant: bool = True) -> None:
         self.queries_processed[peer_id] += 1

@@ -14,7 +14,6 @@ from typing import Optional, Tuple
 
 from ..core.algebra import PlanNode, count_scans
 from ..core.annotations import AnnotatedQueryPattern
-from ..core.cost import StatSummary
 from ..rql.bindings import BindingTable
 from ..rql.pattern import QueryPattern
 from ..rvl.active_schema import ActiveSchema
@@ -141,21 +140,13 @@ class Advertise:
     super-peers rebroadcast the advertisement to the SON's other
     members so coordinator-local quarantines lift too.  Initial joins
     never set it, keeping the seed protocol byte-identical.
-
-    ``stats`` carries the peer's :class:`~repro.core.cost.StatSummary`
-    when cost-based planning is on; by default it is absent, keeping
-    the advertisement wire format byte-identical to the seed.
     """
 
     active_schema: ActiveSchema
     rejoin: bool = False
-    stats: Optional[StatSummary] = None
 
     def size_bytes(self) -> int:
-        size = self.active_schema.size_bytes()
-        if self.stats is not None:
-            size += self.stats.size_bytes()
-        return size
+        return self.active_schema.size_bytes()
 
 
 @dataclass(frozen=True)

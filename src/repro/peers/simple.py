@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import replace
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..cache.coalescer import QueryCoalescer
@@ -23,12 +22,12 @@ from ..core.adaptivity import ReplanBudget
 from ..core.algebra import PlanNode
 from ..core.annotations import AnnotatedQueryPattern
 from ..core.constraints import QueryConstraints, UNCONSTRAINED, apply_peer_bound
-from ..core.cost import CostModel, StatSummary, Statistics, harvest_stat_summary
+from ..core.cost import CostModel, Statistics
 from ..core.optimizer import optimize
 from ..core.planning import build_plan
 from ..core.routing import route_query
 from ..core.shipping import assign_sites
-from ..errors import ParseError, SchemaError
+from ..errors import ChannelError, ParseError, SchemaError
 from ..execution.engine import PlanExecutor
 from ..execution.encoded import is_id_table
 from ..execution.operators import finalize, finalize_encoded
@@ -43,6 +42,7 @@ from ..livedata.updates import (
 from ..net.message import Message
 from ..obs.tracer import NULL_SPAN, NULL_TRACER
 from ..rdf.schema import Schema
+from ..rdf.terms import URI
 from ..resilience.detector import PeerQuarantine
 from ..resilience.partial import Coverage, restrict_to_answerable
 from ..rql.ast import RQLQuery
@@ -124,13 +124,6 @@ class SimplePeer(Peer):
         cache_enabled: Run the :mod:`repro.cache` subsystem — routing
             cache, plan cache and request coalescing.  Off reproduces
             the paper's cold per-query routing exactly (``--no-cache``).
-        cost_based: Statistics-driven planning (``--cost-based``): the
-            peer advertises a :class:`~repro.core.cost.StatSummary`
-            alongside its active-schema, folds observed link behaviour
-            into the shared statistics before compiling, lets the
-            optimiser reorder joins by estimated cardinality and the
-            cost model place operators per subplan.  Off (the default)
-            preserves the rule-based path bit-identically.
         encode: Dictionary-encoded columnar execution (``--encode``):
             scans run over interned id columns and results ship as
             :class:`~repro.execution.encoded.EncodedTable` packets.
@@ -149,7 +142,6 @@ class SimplePeer(Peer):
         secondary_bases=(),
         cache_enabled: bool = True,
         batch_size: int = 256,
-        cost_based: bool = False,
         encode: bool = False,
     ):
         super().__init__(peer_id, base, secondary_bases=secondary_bases)
@@ -160,7 +152,6 @@ class SimplePeer(Peer):
         self.max_replans = max_replans
         self.optimize_plans = optimize_plans
         self.use_shipping = use_shipping
-        self.cost_based = cost_based
         self.encode = encode
         self.failure_policy = failure_policy
         #: phased policy: virtual-time window for the old phase's
@@ -342,11 +333,6 @@ class SimplePeer(Peer):
 
     def handle_Advertise(self, message: Message) -> None:
         advertisement = message.payload.active_schema
-        stats = getattr(message.payload, "stats", None)
-        if stats is not None:
-            # a cost-based sender shared its per-predicate statistics:
-            # fold them so this coordinator prices plans with them
-            self.statistics.fold_summary(stats)
         if getattr(message.payload, "rejoin", False) and advertisement.peer_id:
             self._rehabilitate(advertisement.peer_id)
         self.remember_advertisement(advertisement)
@@ -366,20 +352,6 @@ class SimplePeer(Peer):
         the home super-peer in hybrid SONs, the neighbours in ad-hoc)."""
         return []
 
-    def own_stat_summary(self) -> Optional[StatSummary]:
-        """This peer's :class:`~repro.core.cost.StatSummary`, harvested
-        from its own base — attached to advertisements only when
-        cost-based planning is on, so the default wire format stays
-        seed-identical.  The summary is also folded locally, giving the
-        coordinator exact cardinalities for its own base."""
-        if not self.cost_based or self.base is None:
-            return None
-        summary = harvest_stat_summary(
-            self.base.graph, self.base.schema, self.peer_id
-        )
-        self.statistics.fold_summary(summary)
-        return summary
-
     def refresh_advertisement(self) -> bool:
         """Push a fresh advertisement when the base's intensional
         footprint changed (Section 2.2: extensional churn is free).
@@ -390,7 +362,7 @@ class SimplePeer(Peer):
         if advertisement is None:
             return False
         for target in self._advertisement_targets():
-            self.send(target, Advertise(advertisement, stats=self.own_stat_summary()))
+            self.send(target, Advertise(advertisement))
         if self.state_store is not None:
             self.state_store.log_self_advertise(advertisement)
         return True
@@ -457,10 +429,9 @@ class SimplePeer(Peer):
         """The :attr:`live_full_refresh` baseline: re-push every own
         advertisement wholesale (correct, but pays full-advertisement
         bytes for extensional churn the delta path ships nothing for)."""
-        stats = self.own_stat_summary()
         for advertisement in self.own_advertisements():
             for target in self._advertisement_targets():
-                self.send(target, Advertise(advertisement, stats=stats))
+                self.send(target, Advertise(advertisement))
         if self._tracker is not None:
             self._tracker.mark_advertised()
         if self.routing_cache is not None:
@@ -473,7 +444,6 @@ class SimplePeer(Peer):
         holders, and drop this peer's own cached routing and plans (its
         annotations were computed under the old footprint)."""
         network = self._require_network()
-        delta = replace(delta, stats=self.own_stat_summary())
         for target in self._advertisement_targets():
             self.send(target, delta)
         if self._tracker is not None:
@@ -500,8 +470,6 @@ class SimplePeer(Peer):
         delta: AdvertiseDelta = message.payload
         if delta.peer_id == self.peer_id:
             return
-        if delta.stats is not None:
-            self.statistics.fold_summary(delta.stats)
         previous = self.known_advertisements.get(delta.peer_id)
         if previous is None or previous.schema_uri != delta.schema_uri:
             # no baseline to patch: pull the full advertisement instead
@@ -846,17 +814,8 @@ class SimplePeer(Peer):
 
         A ``plan.compile`` span covers the pass; each optimiser rewrite
         that changed the plan becomes an ``optimize.<rule>`` child span,
-        and plan-cache hits are tagged ``cached``.  With cost-based
-        planning on, an ``optimize.cost`` span records the chosen
-        plan's estimated cost against the rule-based alternative's.
+        and plan-cache hits are tagged ``cached``.
         """
-        if self.cost_based and self.network is not None:
-            # refresh link costs from observed channel behaviour before
-            # pricing (rounded folding, so unchanged observations do
-            # not churn the statistics version / plan cache)
-            self.statistics.fold_link_observations(
-                self.network.metrics.link_observations()
-            )
         span = self._tracer().start_span("plan.compile", peer=self.peer_id, parent=trace)
         if self.plan_cache is not None:
             version = self.statistics.version
@@ -867,12 +826,7 @@ class SimplePeer(Peer):
                 return plan
         plan = build_plan(annotated)
         if self.optimize_plans:
-            traced = optimize(
-                plan,
-                CostModel(self.statistics),
-                cost_based=self.cost_based,
-                coordinator=self.peer_id,
-            )
+            traced = optimize(plan, CostModel(self.statistics))
             if span:  # skip minting rewrite spans on the no-op path
                 for rule, step in traced.steps[1:]:
                     # the plan object itself; rendered only at export
@@ -881,14 +835,6 @@ class SimplePeer(Peer):
                         peer=self.peer_id,
                         parent=span.context(),
                         plan=step,
-                    ).finish()
-                if traced.cost_decision is not None:
-                    self._tracer().start_span(
-                        "optimize.cost",
-                        peer=self.peer_id,
-                        parent=span.context(),
-                        chosen=traced.cost_decision["chosen"],
-                        rejected=traced.cost_decision["rejected"],
                     ).finish()
             plan = traced.result
         if self.plan_cache is not None:
@@ -920,9 +866,7 @@ class SimplePeer(Peer):
     def _execute_plan(self, pending: PendingQuery, plan: PlanNode) -> None:
         network = self._require_network()
         sites = None
-        if self.use_shipping or self.cost_based:
-            # cost-based planning also lets the model choose data/
-            # query/hybrid shipping per subplan (Section 2.5)
+        if self.use_shipping:
             assignment = assign_sites(plan, self.peer_id, CostModel(self.statistics))
             sites = assignment.sites
 
@@ -1066,10 +1010,8 @@ class SimplePeer(Peer):
         packet = message.payload
         try:
             channel = self.channels.channel(packet.channel_id)
-        except Exception:
+        except ChannelError:
             return  # stats for a discarded channel: ignore
-        from ..rdf.terms import URI
-
         for prop_value, rows in packet.cardinalities.items():
             self.statistics.set_cardinality(
                 channel.destination, URI(prop_value), rows

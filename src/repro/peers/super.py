@@ -13,7 +13,6 @@ from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Set
 
 from ..core.annotations import AnnotatedQueryPattern, PeerAnnotation
-from ..core.cost import Statistics
 from ..core.routing_index import RoutingIndex
 from ..errors import PeerError
 from ..livedata.updates import AdvertiseDelta, apply_advertisement_delta
@@ -53,12 +52,6 @@ class SuperPeer(Peer):
             failing.
         cache_enabled: Layer a routing cache over every per-SON index
             (scoped invalidation keeps it coherent under churn).
-        statistics: Shared :class:`~repro.core.cost.Statistics` store.
-            When set, advertised :class:`~repro.core.cost.StatSummary`
-            payloads are folded into it and observed channel behaviour
-            (from the network's per-link histograms) refreshes its link
-            costs on every served route request.  None (the default)
-            keeps the seed's static-defaults behaviour.
     """
 
     def __init__(
@@ -68,12 +61,10 @@ class SuperPeer(Peer):
         backbone_directory: Optional[Dict[str, str]] = None,
         parent: Optional[str] = None,
         cache_enabled: bool = True,
-        statistics: Optional[Statistics] = None,
     ):
         super().__init__(peer_id, base=None)
         self.parent = parent
         self.cache_enabled = cache_enabled
-        self.statistics = statistics
         self.schemas: Dict[str, Schema] = {s.namespace.uri: s for s in schemas}
         self.backbone_directory = (
             backbone_directory if backbone_directory is not None else {}
@@ -213,11 +204,6 @@ class SuperPeer(Peer):
     # ------------------------------------------------------------------
     def handle_Advertise(self, message: Message) -> None:
         payload = message.payload
-        stats = getattr(payload, "stats", None)
-        if stats is not None and self.statistics is not None:
-            # Section 2.5: observed per-predicate cardinalities and
-            # distinct counts replace the optimiser's static defaults
-            self.statistics.fold_summary(stats)
         self.register_advertisement(
             payload.active_schema, rejoin=getattr(payload, "rejoin", False)
         )
@@ -297,8 +283,6 @@ class SuperPeer(Peer):
         affected routing-cache scope — so delta and full refreshes are
         behaviourally identical, only cheaper on the wire."""
         delta: AdvertiseDelta = message.payload
-        if delta.stats is not None and self.statistics is not None:
-            self.statistics.fold_summary(delta.stats)
         previous = self.registry.get(delta.schema_uri, {}).get(delta.peer_id)
         if previous is None:
             # no registered baseline to patch (the delta raced ahead of
@@ -401,12 +385,6 @@ class SuperPeer(Peer):
     def _serve_route_request(self, message: Message) -> None:
         request: RouteRequest = message.payload
         network = self._require_network()
-        if self.statistics is not None:
-            # fold observed channel bandwidth/latency into link costs
-            # so the cost model prices shipping with live numbers
-            self.statistics.fold_link_observations(
-                network.metrics.link_observations()
-            )
         schema_uri = request.pattern.schema.namespace.uri
         # the route-service span stitches under the requester's routing
         # span (its context rides in the request message, hop by hop)

@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..core.annotations import AnnotatedQueryPattern, PeerAnnotation
 from ..core.algebra import PlanNode, Scan
 from ..net.message import Message
-from ..net.simulator import Network
 from ..obs.tracer import NULL_SPAN
 from ..peers.base import PeerBase
 from ..peers.protocol import (
@@ -88,13 +87,6 @@ class AdhocPeer(SimplePeer):
     # ------------------------------------------------------------------
     # joining: pull the neighbourhood's advertisements
     # ------------------------------------------------------------------
-    def join(self, network: Network) -> None:
-        super().join(network)
-        # with cost-based planning on, fold this base's summary into
-        # the deployment-shared statistics store (the ad-hoc pull
-        # protocol has no advertisement push to ride on)
-        self.own_stat_summary()
-
     def _advertisement_targets(self):
         return list(self.neighbours)
 

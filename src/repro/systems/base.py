@@ -39,13 +39,12 @@ class SystemBase:
         schema: The community schema peers commit to by default.
         seed: Seed of the simulated network.
         default_latency: Virtual-time delay of a link.
-        statistics: Statistics store the deployment shares; created
-            when ``cost_based`` is on and none is given.
+        statistics: Statistics store the deployment's peers share;
+            None gives each peer its own.
         cache_enabled: Routing/plan caches and request coalescing
             (``--no-cache`` turns them off deployment-wide).
         observability: Tracing and metrics on the network.
         batch_size: Bindings per shipped DataPacket (``--batch-size``).
-        cost_based: Statistics-driven planning (``--cost-based``).
         encode: Dictionary-encoded execution (``--encode``).
         transport: Optional real transport under the network.
         **peer_options: Forwarded to every peer's constructor.
@@ -67,7 +66,6 @@ class SystemBase:
         cache_enabled: bool = True,
         observability: bool = True,
         batch_size: int = 256,
-        cost_based: bool = False,
         encode: bool = False,
         transport=None,
         **peer_options,
@@ -90,19 +88,13 @@ class SystemBase:
             observability=observability,
             transport=transport,
         )
-        # cost-based planning needs one statistics store the whole
-        # deployment shares: peers fold advertised summaries and
-        # observed link costs into it
-        if statistics is None and cost_based:
-            statistics = Statistics()
         self.statistics = statistics
         self.cache_enabled = cache_enabled
-        # deployment-wide caching, shipping, planning and storage modes
+        # deployment-wide caching, shipping and storage modes
         self.peer_options = dict(
             peer_options,
             cache_enabled=cache_enabled,
             batch_size=batch_size,
-            cost_based=cost_based,
             encode=encode,
         )
         self.peers: Dict[str, SimplePeer] = {}

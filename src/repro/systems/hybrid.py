@@ -52,17 +52,12 @@ class HybridPeer(SimplePeer):
 
     def join(self, network: Network) -> None:
         """Register and push each base's active-schema to the
-        super-peer responsible for that SON.  With cost-based planning
-        on, the push carries the peer's stat summary too."""
+        super-peer responsible for that SON."""
         super().join(network)
         for advertisement in self.own_advertisements():
             self.send(
                 self._home_for(advertisement.schema_uri),
-                Advertise(
-                    advertisement,
-                    rejoin=self.rejoining,
-                    stats=self.own_stat_summary(),
-                ),
+                Advertise(advertisement, rejoin=self.rejoining),
             )
 
     def _advertisement_targets(self):
@@ -236,7 +231,6 @@ class HybridSystem(SystemBase):
             schemas=list(schemas) if schemas is not None else [self.schema],
             backbone_directory=self._backbone_directory,
             cache_enabled=self.cache_enabled,
-            statistics=self.statistics,
         )
         super_peer.join(self.network)
         self.super_peers[peer_id] = super_peer

@@ -38,7 +38,6 @@ from ..channels.packets import (
 )
 from ..core.algebra import Hole, Join, Scan, Union
 from ..core.annotations import AnnotatedQueryPattern, PeerAnnotation
-from ..core.cost import StatSummary
 from ..execution.encoded import EncodedTable
 from ..errors import CodecError
 from ..livedata.updates import (
@@ -410,7 +409,6 @@ for _cls in (
     DataPacket,
     DictionaryPacket,
     EncodedTable,
-    StatSummary,
     ChangePlanPacket,
     StatsPacket,
     Coverage,

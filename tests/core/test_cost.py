@@ -53,10 +53,6 @@ class TestStatistics:
         assert stats.load_factor("P2") == 3.0  # 1 + 4/2
         assert stats.load_factor("P9") == 1.0
 
-    def test_known_peers(self, stats):
-        assert "P1" in stats.known_peers()
-        assert "P2" in stats.known_peers()
-
 
 class TestCardinalityEstimation:
     def test_scan(self, stats, patterns):
@@ -106,8 +102,9 @@ class TestPlanCost:
 
     def test_intermediate_rows(self, stats, patterns):
         model = CostModel(stats)
-        plan = Union([Scan((patterns[0],), "P1"), Scan((patterns[0],), "P2")])
-        assert model.intermediate_result_rows(plan) == 250
+        union = Union([Scan((patterns[0],), "P1"), Scan((patterns[0],), "P2")])
+        join = Join([union, Scan((patterns[1],), "P3")])
+        assert model.max_intermediate_rows(join) == 250
 
     def test_estimate_total_monotone_in_time(self):
         from repro.core.cost import CostEstimate

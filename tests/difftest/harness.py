@@ -192,6 +192,21 @@ def distributed_answer(system, via: str, text: str) -> Optional[BindingTable]:
         raise
 
 
+def query_outcome(system, via: str, text: str):
+    """One query's full observable outcome through a fresh client:
+    (columns, sorted rows, error string, coverage repr) — everything a
+    client can see, so twin deployments compare exactly."""
+    client = system.add_client()
+    query_id = system.submit(via, text, client=client)
+    system.run()
+    result = client.result(query_id)
+    assert result is not None, f"no reply for {text!r}"
+    if result.table is None:
+        return None, None, result.error, repr(result.coverage)
+    rows = sorted(" ".join(term.n3() for term in row) for row in result.table.rows)
+    return tuple(result.table.columns), rows, result.error, repr(result.coverage)
+
+
 def assert_equivalent(workload: Workload, system, via: str, text: str) -> None:
     """One differential comparison: distributed == centralized."""
     expected = centralized_answer(workload, text)

@@ -1,13 +1,20 @@
-"""Cost-planning differential wall: cost-based vs rule-based vs oracle.
+"""Cost-planning differential wall: cost-model placement vs
+coordinator placement vs oracle.
 
-The cost-based planner may pick any join order and any shipping split
-it likes — what it may never change is the *answer*.  Every (dataset
-seed, execution mode) pair deploys the same workload twice, once with
-``cost_based=True`` and once on the seed's rule-based path, evaluates
-the same seeded queries through both, and requires the outcomes to be
-exactly equal: result tables, error strings and coverage annotations
-alike.  Successful answers are additionally checked against the
-centralized oracle over the merged bases.
+The cost-driven planning that SQPeer keeps is Figure 5's shipping
+choice: with ``use_shipping=True`` the cost model reads the
+deployment's :class:`~repro.core.cost.Statistics` (link costs,
+cardinalities fed back in stats packets, join selectivity) and may
+place every join and union at any contributing peer.  What it may
+never change is the *answer*.  Every (dataset seed, execution mode)
+pair deploys the same workload twice — once with cost-model placement
+over statistics that make the coordinator's links expensive (so joins
+are pushed to the data peers), once on the default path where
+everything joins at the coordinator — evaluates the same seeded
+queries through both, and requires the outcomes to be exactly equal:
+result tables, error strings and coverage annotations alike.
+Successful answers are additionally checked against the centralized
+oracle over the merged bases.
 
 The sweep spans hybrid and ad-hoc deployments, term-valued and
 dictionary-encoded execution, and odd batch sizes (1 ships one binding
@@ -16,19 +23,22 @@ per DataPacket), totalling more than 200 seeded comparisons.
 
 import pytest
 
+from repro.core.cost import Statistics
+
 from .harness import (
     Workload,
     build_adhoc,
     build_hybrid,
     centralized_answer,
     make_workload,
+    query_outcome,
 )
 
 SEEDS = list(range(9))
 QUERIES_PER_DATASET = 4
 
-#: (mode id, builder, shared system options) — cost_based toggles on
-#: top; ``*-scalar`` rows ship one binding per DataPacket
+#: (mode id, builder, shared system options) — cost-model placement
+#: toggles on top; ``*-scalar`` rows ship one binding per DataPacket
 MODES = [
     ("hybrid-encoded", build_hybrid, {"encode": True}),
     ("hybrid-scalar", build_hybrid, {"batch_size": 1}),
@@ -44,18 +54,18 @@ def test_sweep_is_large_enough():
     assert len(SEEDS) * len(MODES) * QUERIES_PER_DATASET >= 200
 
 
-def _outcome(system, via: str, text: str):
-    """One query's full observable outcome: (columns, sorted rows,
-    error string, coverage repr) — everything a client can see."""
-    client = system.add_client()
-    query_id = system.submit(via, text, client=client)
-    system.run()
-    result = client.result(query_id)
-    assert result is not None, f"no reply for {text!r}"
-    if result.table is None:
-        return None, None, result.error, repr(result.coverage)
-    rows = sorted(" ".join(term.n3() for term in row) for row in result.table.rows)
-    return tuple(result.table.columns), rows, result.error, repr(result.coverage)
+def _remote_favouring_statistics(workload: Workload, coordinator: str) -> Statistics:
+    """Statistics under which shipping joins to the data peers is
+    cheapest: the coordinator's links are costly, the data peers'
+    links nearly free, and joins highly selective."""
+    stats = Statistics(default_cardinality=1000, join_selectivity=0.0001)
+    others = [p for p in workload.peer_ids if p != coordinator]
+    for other in others:
+        stats.set_link_cost(coordinator, other, 50.0)
+    for i, a in enumerate(others):
+        for b in others[i + 1:]:
+            stats.set_link_cost(a, b, 0.01)
+    return stats
 
 
 def _check_against_oracle(workload: Workload, outcome, text: str) -> None:
@@ -83,67 +93,22 @@ def _check_against_oracle(workload: Workload, outcome, text: str) -> None:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cost_based_matches_rule_based_and_oracle(seed, mode, builder, options):
     workload = make_workload(seed, queries=QUERIES_PER_DATASET)
-    rule_system = builder(workload, **options)
-    cost_system = builder(workload, cost_based=True, **options)
     via = workload.peer_ids[seed % len(workload.peer_ids)]
+    rule_system = builder(workload, **options)
+    cost_system = builder(
+        workload,
+        use_shipping=True,
+        statistics=_remote_favouring_statistics(workload, via),
+        **options,
+    )
     compared = 0
     for text in workload.queries:
-        rule = _outcome(rule_system, via, text)
-        cost = _outcome(cost_system, via, text)
+        rule = query_outcome(rule_system, via, text)
+        cost = query_outcome(cost_system, via, text)
         assert cost == rule, (
-            f"cost-based diverged from rule-based for {text!r} "
-            f"(seed {seed}, {mode}):\n  cost={cost}\n  rule={rule}"
+            f"cost-model placement diverged from coordinator placement "
+            f"for {text!r} (seed {seed}, {mode}):\n  cost={cost}\n  rule={rule}"
         )
         _check_against_oracle(workload, cost, text)
         compared += 1
     assert compared == QUERIES_PER_DATASET
-
-
-@pytest.mark.parametrize("seed", [0, 2, 5])
-def test_cost_based_is_deterministic(seed):
-    """Same seed, same options → bit-identical twin runs: answers,
-    message counts, bytes and the final virtual clock all agree."""
-    fingerprints = []
-    for _ in range(2):
-        workload = make_workload(seed, queries=QUERIES_PER_DATASET)
-        system = build_hybrid(workload, cost_based=True, encode=True)
-        via = workload.peer_ids[0]
-        outcomes = [_outcome(system, via, text) for text in workload.queries]
-        metrics = system.network.metrics
-        fingerprints.append(
-            (
-                outcomes,
-                metrics.messages_total,
-                metrics.bytes_total,
-                sorted(metrics.messages_by_kind.items()),
-                system.network.now,
-            )
-        )
-    assert fingerprints[0] == fingerprints[1]
-
-
-def test_cost_decision_trace_emitted():
-    """A cost-based coordinator records the chosen-vs-rejected plan
-    costs as an ``optimize.cost`` span; the rule-based twin never does."""
-    workload = make_workload(1, queries=QUERIES_PER_DATASET)
-    cost_system = build_hybrid(workload, cost_based=True)
-    rule_system = build_hybrid(workload)
-    via = workload.peer_ids[0]
-    for text in workload.queries:
-        _outcome(cost_system, via, text)
-        _outcome(rule_system, via, text)
-    def spans_named(system, name):
-        collector = system.network.tracer.collector
-        return [
-            span
-            for trace_id in collector.trace_ids()
-            for span in collector.spans(trace_id)
-            if span.name == name
-        ]
-
-    cost_spans = spans_named(cost_system, "optimize.cost")
-    rule_spans = spans_named(rule_system, "optimize.cost")
-    assert cost_spans, "cost-based run emitted no optimize.cost span"
-    assert not rule_spans, "rule-based run emitted optimize.cost spans"
-    for span in cost_spans:
-        assert "chosen" in span.attributes and "rejected" in span.attributes

@@ -13,19 +13,24 @@ from .harness import (
     build_adhoc,
     build_hybrid,
     make_workload,
+    query_outcome,
 )
 
 SEEDS = list(range(10))
 QUERIES_PER_DATASET = 4
 
 #: (mode id, builder, system options); ``*-scalar`` rows ship one
-#: binding per DataPacket (the per-binding wire format)
+#: binding per DataPacket (the per-binding wire format), ``*-encoded``
+#: rows run the dictionary-encoded engine
 MODES = [
     ("hybrid-vectorized", build_hybrid, {}),
     ("hybrid-scalar", build_hybrid, {"batch_size": 1}),
     ("hybrid-smallbatch", build_hybrid, {"batch_size": 7}),
+    ("hybrid-encoded", build_hybrid, {"encode": True}),
     ("adhoc-vectorized", build_adhoc, {}),
     ("adhoc-scalar", build_adhoc, {"batch_size": 1}),
+    ("adhoc-encoded", build_adhoc, {"encode": True}),
+    ("adhoc-encoded-batch-13", build_adhoc, {"encode": True, "batch_size": 13}),
 ]
 
 
@@ -45,6 +50,29 @@ def test_distributed_matches_centralized(seed, mode, builder, options):
         assert_equivalent(workload, system, via, text)
         compared += 1
     assert compared == QUERIES_PER_DATASET
+
+
+@pytest.mark.parametrize("seed", [0, 2, 5])
+def test_default_planner_is_deterministic(seed):
+    """Same seed, same options → bit-identical twin runs: answers,
+    message counts, bytes and the final virtual clock all agree."""
+    fingerprints = []
+    for _ in range(2):
+        workload = make_workload(seed, queries=QUERIES_PER_DATASET)
+        system = build_hybrid(workload, encode=True)
+        via = workload.peer_ids[0]
+        outcomes = [query_outcome(system, via, text) for text in workload.queries]
+        metrics = system.network.metrics
+        fingerprints.append(
+            (
+                outcomes,
+                metrics.messages_total,
+                metrics.bytes_total,
+                sorted(metrics.messages_by_kind.items()),
+                system.network.now,
+            )
+        )
+    assert fingerprints[0] == fingerprints[1]
 
 
 @pytest.mark.parametrize("seed", [0, 3, 5])

@@ -1,22 +1,23 @@
-"""Metamorphic properties of cost-based planning: statistics only
-steer *plan choice*, never the answer.
+"""Metamorphic properties of statistics-guided planning: statistics
+only steer *plan choice*, never the answer.
 
-Each relation perturbs the :class:`~repro.core.cost.Statistics` a
-cost-based deployment plans against — scaling every cardinality,
-shuffling link costs, injecting adversarial load factors, zeroing
-everything out, or forgetting every folded summary (missing peers).
-The chosen plans may differ arbitrarily; the observable outcome
-(result table, error string, coverage annotation) must be exactly the
-unperturbed deployment's, and degenerate statistics must never crash
-planning.
+The planner reads :class:`~repro.core.cost.Statistics` in the join/
+union distribution guard (Figure 4), and the cardinalities channels
+feed back in stats packets update it between queries.  Each relation
+perturbs the statistics a deployment plans against — scaling every
+cardinality, shuffling link costs, injecting adversarial load factors,
+zeroing everything out, or forgetting every fed-back cardinality
+(missing peers).  The chosen plans may differ arbitrarily; the
+observable outcome (result table, error string, coverage annotation)
+must be exactly the unperturbed deployment's, and degenerate
+statistics must never crash planning.
 """
 
 import pytest
 
 from repro.core.cost import Statistics
 
-from .harness import build_adhoc, build_hybrid, make_workload
-from .test_cost_planning import _outcome
+from .harness import build_adhoc, build_hybrid, make_workload, query_outcome
 
 SEEDS = [0, 1, 2, 5]
 QUERIES_PER_DATASET = 4
@@ -52,24 +53,21 @@ class AdversarialLoadStatistics(Statistics):
 class ZeroStatistics(Statistics):
     """Degenerate: every estimate collapses to zero."""
 
+    def __init__(self):
+        super().__init__(join_selectivity=0.0)
+
     def cardinality(self, peer_id, prop):
         return 0
-
-    def selectivity(self, prop):
-        return 0.0
 
     def link_cost(self, a, b):
         return 0.0
 
 
 class AmnesiacStatistics(Statistics):
-    """Degenerate: folding forgets everything — the planner sees no
-    peer's summary (the missing-peers case)."""
+    """Degenerate: recording forgets everything — the planner sees no
+    peer's fed-back cardinality (the missing-peers case)."""
 
-    def fold_summary(self, summary):
-        return None
-
-    def fold_link_observations(self, observations):
+    def set_cardinality(self, peer_id, prop, rows):
         return None
 
 
@@ -94,14 +92,12 @@ def test_perturbed_statistics_never_change_the_answer(
     seed, name, make_stats, builder
 ):
     workload = make_workload(seed, queries=QUERIES_PER_DATASET)
-    baseline = builder(workload, cost_based=True, encode=True)
-    perturbed = builder(
-        workload, cost_based=True, encode=True, statistics=make_stats()
-    )
+    baseline = builder(workload, encode=True)
+    perturbed = builder(workload, encode=True, statistics=make_stats())
     via = workload.peer_ids[seed % len(workload.peer_ids)]
     for text in workload.queries:
-        expected = _outcome(baseline, via, text)
-        actual = _outcome(perturbed, via, text)
+        expected = query_outcome(baseline, via, text)
+        actual = query_outcome(perturbed, via, text)
         assert actual == expected, (
             f"perturbation {name} changed the outcome for {text!r} "
             f"(seed {seed}):\n  perturbed={actual}\n  baseline={expected}"
@@ -118,17 +114,11 @@ def test_degenerate_statistics_do_not_crash_direct_planning():
     from repro.rql.parser import parse_query
 
     workload = make_workload(3, queries=QUERIES_PER_DATASET)
-    system = build_hybrid(workload, cost_based=True)
+    system = build_hybrid(workload)
     peer = system.peers[workload.peer_ids[0]]
     query = parse_query(workload.queries[0])
     annotated = peer._route_local(peer._extract_against_any_schema(query))
     plan = build_plan(annotated)
     for stats in (ZeroStatistics(), AmnesiacStatistics(), Statistics()):
-        trace = optimize(
-            plan,
-            CostModel(stats),
-            cost_based=True,
-            coordinator="nobody-knows-this-peer",
-        )
+        trace = optimize(plan, CostModel(stats))
         assert trace.result is not None
-        assert trace.cost_decision is not None

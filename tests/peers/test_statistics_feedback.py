@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.channels.packets import StatsPacket
+from repro.net.message import Message
 from repro.systems import HybridSystem
 from repro.workloads.paper import (
     N1,
@@ -43,6 +45,15 @@ class TestStatisticsFeedback:
         system.query("P1", PAPER_QUERY)
         stats = system.peers["P1"].statistics
         assert stats.cardinality("P9", N1.prop1) == stats.default_cardinality
+
+    def test_stats_for_unknown_channel_ignored(self, system):
+        system.query("P1", PAPER_QUERY)
+        peer = system.peers["P1"]
+        before = (dict(peer.statistics._cardinality), peer.statistics.version)
+        packet = StatsPacket("no-such-channel", 7, {N1.prop1.value: 7})
+        peer.handle_StatsPacket(Message("P2", "P1", packet))
+        after = (dict(peer.statistics._cardinality), peer.statistics.version)
+        assert after == before
 
     def test_second_query_still_correct(self, system):
         first = system.query("P1", PAPER_QUERY)

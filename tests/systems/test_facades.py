@@ -80,5 +80,7 @@ def test_batch_size_below_one_rejected_at_construction(build, batch_size):
 
 @pytest.mark.parametrize("build", FACADES)
 def test_unknown_option_rejected_at_construction(build):
-    with pytest.raises(TypeError, match="vectorize"):
-        build(vectorize=False)
+    # knobs that were deleted, not renamed
+    for option, value in (("vectorize", False), ("cost_based", True)):
+        with pytest.raises(TypeError, match=option):
+            build(**{option: value})

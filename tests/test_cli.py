@@ -63,8 +63,10 @@ class TestQuery:
         assert "batch_size must be >= 1" in capsys.readouterr().err
 
     def test_vectorize_flag_is_gone(self, files):
-        with pytest.raises(SystemExit):
-            main(self._args(files, extra=["--no-vectorize"]))
+        for flag in ("--no-vectorize", "--cost-based"):
+            with pytest.raises(SystemExit) as exited:
+                main(self._args(files, extra=[flag]))
+            assert exited.value.code == 2, flag
 
     def test_bad_peer_spec(self, files, capsys):
         schema_path, peer_paths = files
